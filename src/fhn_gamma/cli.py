@@ -17,9 +17,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import svg
 from .epsilon_solver import (
@@ -55,7 +53,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameterError(f"expected lo:hi:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise InvalidParameterError(f"expected numbers in lo:hi:n, got {text!r}") from None
     if n < 1 or (n > 1 and not lo < hi):
         raise InvalidParameterError(f"bad range {text!r}")
     return lo, hi, n
@@ -73,7 +74,10 @@ def _parse_set(text: str) -> IntervalUnion:
 
 
 def _parse_eps_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise InvalidParameterError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def load_config(path: str) -> dict:
@@ -363,12 +367,13 @@ def _cmd_speed_eps(opts):
         "c_eps": result.c_eps,
         "value": result.value,
         "iterations": result.iterations,
+        "converged": result.converged,
         "c_limit": limit["c"],
     }
     _emit_text(json.dumps(summary, indent=2) + "\n", opts["output"])
     if opts["profile_output"]:
         result.profile.to_csv(opts["profile_output"])
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
 def _cmd_study(opts):
@@ -406,12 +411,6 @@ def _sweep_point(task):
     return (alpha, gamma, sigma, regime.tag.value, c, ell)
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("FHN_GAMMA_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, n_tasks))
-
-
 def _cmd_sweep(opts):
     tasks = [
         (alpha, gamma, sigma)
@@ -419,9 +418,7 @@ def _cmd_sweep(opts):
         for gamma in _range_values(opts["gamma_range"])
         for sigma in _range_values(opts["sigma_range"])
     ]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
-        rows = list(pool.map(_sweep_point, tasks))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = map(_sweep_point, tasks)
     text = _csv_text(("alpha", "gamma", "sigma", "regime", "c", "ell"), rows)
     _emit_text(text, opts["output"])
     return EXIT_OK

@@ -22,6 +22,7 @@ from .model import SQRT2, Params
 from .nonlocal_operator import (
     CharRoots,
     InhibitorOperator,
+    _exp,
     char_roots,
     lc_indicator,
 )
@@ -30,12 +31,6 @@ from .weighted_space import (
     IntervalUnion,
     total_variation_e,
 )
-
-
-def _exp(z: float) -> float:
-    if z < -745.0:
-        return 0.0
-    return math.exp(z)
 
 
 def speed_ratio(c: float, gamma: float) -> float:

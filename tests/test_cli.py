@@ -107,8 +107,7 @@ def test_recovery_csv_and_svg(tmp_path):
     assert fig.read_text().startswith("<svg")
 
 
-def test_sweep_sorted_and_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("FHN_GAMMA_THREADS", "2")
+def test_sweep_sorted_and_deterministic(tmp_path):
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     args = ["sweep", "--alpha-range", "1.5:2.5:3"]
     assert run(args + ["--output", str(p1)]) == 0
@@ -135,3 +134,23 @@ def test_bad_range_syntax(capsys):
     code = run(["limit-energy", "--alpha", "2", "--gamma", "1",
                 "--sigma", "1", "--c", "1.0", "--ell-grid", "nope"])
     assert code == 2
+
+
+def test_speed_eps_short_budget_reports_nonconvergence(capsys):
+    code = run(["speed-eps", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+                "--epsilon", "0.04", "--c-lo", "2.1169", "--c-hi", "2.5614",
+                "--max-iter", "20"])
+    assert code == 3
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["converged"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+     "--eps-list", "0.04,abc"],
+    ["sweep", "--alpha-range", "1:abc:3"],
+    ["sweep", "--alpha-range", "1:3:2.5"],
+])
+def test_unparsable_number_is_invalid_input(argv, capsys):
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fhn_gamma import wave_speeds
 from fhn_gamma.errors import RegimeError
-from fhn_gamma.limit_energy import front_energy, interval_energy
+from fhn_gamma.limit_energy import front_energy, interval_energy, width_condition
 from fhn_gamma.model import SQRT2, Params
 from fhn_gamma.wave_speeds import (
     FrontResult,
@@ -69,8 +70,6 @@ def test_front_condition():
 
 
 def test_optimal_width_solves_the_condition():
-    from fhn_gamma.limit_energy import width_condition
-
     for c in (0.3, 1.0, 2.33, 7.0):
         ell = optimal_width(c, PULSE)
         assert abs(width_condition(ell, c, PULSE).value) < 1e-10
@@ -150,6 +149,106 @@ def test_pulse_speed_unique_across_brackets():
             else:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(reference, abs=1e-8)
+
+
+def _pulse_points():
+    """About 30 pulse points: both regime edges, alpha -> 1+ and
+    alpha -> 3 sqrt(2) sigma / gamma-, for gamma from 0.05 to 20."""
+    points = [(2.0, 1.0, 1.0), (1.5, 1.2, 0.8), (3.0, 0.9, 1.5),
+              (1.0005, 1.0, 1.0)]
+    for gamma, sigma in ((0.05, 0.5), (0.3, 1.0), (1.0, 1.0), (3.0, 1.0),
+                         (20.0, 5.0)):
+        top = 3.0 * SQRT2 * sigma / gamma
+        for alpha in (1.001, 1.01, 0.5 * (1.0 + top), top * (1.0 - 1e-4),
+                      top - 1e-6):
+            points.append((alpha, gamma, sigma))
+    return points
+
+
+def _scaled_system(ell, c, p):
+    """Interval energy J and e^ell dJ/dell, from the closed forms: the
+    scaled width derivative keeps its size where e^-ell underflows."""
+    s = math.sqrt(c * c + 4.0 * p.gamma)
+    r2 = 2.0 * p.gamma / (c * (c + s))
+    r1 = -1.0 - r2
+    h = c / s
+    k = SQRT2 / 12.0
+    j = (k * (1.0 - p.alpha) + k * (1.0 + p.alpha) * math.exp(-ell)
+         + (p.sigma * h / p.gamma) * (r2 + r1 * math.exp(-ell)
+                                      + math.exp(r1 * ell)))
+    scaled_dj = (-k * (1.0 + p.alpha) + (1.0 + h) * p.sigma / (2.0 * p.gamma)
+                 * (1.0 - math.exp(-r2 * ell)))
+    scaled_curvature = (k * (1.0 + p.alpha) - (1.0 + h) * p.sigma
+                        / (2.0 * p.gamma) * (1.0 + r1 * math.exp(-r2 * ell)))
+    return np.array([j, scaled_dj]), scaled_curvature
+
+
+def _newton_2d_scaled(ell, c, p):
+    """Damped Newton on (J, e^ell dJ/dell) = 0 with a finite-difference
+    Jacobian, in the style of the criterion-2 oracle."""
+    for _ in range(100):
+        f, _ = _scaled_system(ell, c, p)
+        jac = np.empty((2, 2))
+        for col, (dl, dc) in enumerate(((1e-7 * ell, 0.0), (0.0, 1e-7 * c))):
+            f_hi, _ = _scaled_system(ell + dl, c + dc, p)
+            f_lo, _ = _scaled_system(ell - dl, c - dc, p)
+            jac[:, col] = (f_hi - f_lo) / (2.0 * (dl + dc))
+        step = np.linalg.solve(jac, f)
+        scale = 1.0
+        while ell - scale * step[0] <= 0.0 or c - scale * step[1] <= 0.0:
+            scale *= 0.5
+        ell -= scale * step[0]
+        c -= scale * step[1]
+        if abs(step[0]) <= 1e-14 * ell and abs(step[1]) <= 1e-14 * c:
+            break
+    return ell, c
+
+
+@pytest.mark.parametrize("point", _pulse_points(),
+                         ids=lambda point: "-".join(f"{v:.8g}" for v in point))
+def test_pulse_speed_across_the_regime(point):
+    p = Params(*point)
+    result = pulse_speed(p)
+    je = interval_energy(result.ell_p, result.c_p, p)
+    q = width_condition(result.ell_p, result.c_p, p)
+    for residual in (je.value, je.d_width, q.value, *result.residuals.values()):
+        assert abs(residual) <= 1e-12
+    _, curvature = _scaled_system(result.ell_p, result.c_p, p)
+    assert curvature > 0.0
+    ell_n, c_n = _newton_2d_scaled(1.05 * result.ell_p, 0.95 * result.c_p, p)
+    assert result.c_p == pytest.approx(c_n, rel=1e-10)
+    # toward alpha = 3 sqrt(2) sigma / gamma the energy flattens in the width:
+    # widths 4e-10 apart there both leave residuals at rounding level
+    assert result.ell_p == pytest.approx(ell_n, rel=1e-8)
+
+
+def test_pulse_speed_near_alpha_one():
+    # at ell_p ~ 2282 both exponentials of d2J/dl2 underflow to 0
+    p = Params(1.001, 1.0, 1.0)
+    result = pulse_speed(p)
+    assert result.c_p == pytest.approx(92.099, rel=1e-4)
+    assert result.ell_p == pytest.approx(2281.9, rel=1e-4)
+    assert interval_energy(result.ell_p, result.c_p, p).d_width2 == 0.0
+    assert max(result.residuals.values()) <= 1e-12
+
+
+def test_pulse_speed_call_counts(monkeypatch):
+    calls = {"width": 0, "energy": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(wave_speeds, "width_condition",
+                        counted("width", wave_speeds.width_condition))
+    monkeypatch.setattr(wave_speeds, "interval_energy",
+                        counted("energy", wave_speeds.interval_energy))
+    result = pulse_speed(PULSE)
+    assert result.c_p == pytest.approx(C_P_ORACLE, rel=1e-12)
+    assert calls["width"] <= 100
+    assert calls["energy"] <= 15
 
 
 def test_pulse_speed_wrong_regime():
