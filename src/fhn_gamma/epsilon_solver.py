@@ -29,6 +29,8 @@ from .weighted_space import Grid, IntervalUnion, SampledFunction, l2e_norm
 SPEED_VALUE_TOL = 5e-4
 #: bracket-width tolerance in the speed bisection
 SPEED_BRACKET_TOL = 1e-6
+#: solver grids drop the nodes left of the set whose weight e^x is below this
+GRID_WEIGHT_TOL = 1e-9
 
 
 def _f0(u):
@@ -39,6 +41,13 @@ def _f0(u):
 def _g(u):
     """Tilt potential (u^3/3 - u^2/2) / sqrt(2), vectorized."""
     return (u * u * u / 3.0 - 0.5 * u * u) / SQRT2
+
+
+def _dot(a, b) -> float:
+    """Sum of a*b.  einsum, not BLAS: above about 10,000 elements OpenBLAS
+    splits a dot product across threads, which can stall it for
+    milliseconds on a busy machine."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _f_eps(u, beta):
@@ -126,9 +135,27 @@ def profile_box(p: Params) -> tuple[float, float]:
 
 
 def solver_grid(e: IntervalUnion, eps: float, pad: float = 10.0) -> Grid:
-    """Uniform grid resolving interfaces of width O(eps): spacing eps/8,
-    right padding past the rightmost endpoint."""
-    return Grid.for_interval(e.rightmost + pad, eps / 8.0)
+    """Uniform grid resolving interfaces of width O(eps), padded by ``pad``
+    past both ends of the set.
+
+    The nodes are those of ``Grid.for_interval(e.rightmost + pad, eps/8)``
+    (spacing at most eps/8 on [DEFAULT_X_LO, e.rightmost + pad]), continued
+    with the same spacing on the left where the set reaches further.  Nodes
+    with weight e^x below GRID_WEIGHT_TOL are dropped, except those at or
+    right of ``e.leftmost - pad``: the grid starts at the last node at or
+    left of min(ln GRID_WEIGHT_TOL, e.leftmost - pad).  Kept nodes are not
+    moved, because the energy of the recovery profile is first order in
+    node placement.
+    """
+    x_hi = e.rightmost + pad
+    h = Grid.for_interval(x_hi, eps / 8.0).h
+    start = math.log(GRID_WEIGHT_TOL)
+    if math.isfinite(e.leftmost):
+        start = min(start, e.leftmost - pad)
+    cells = math.ceil((x_hi - start) / h)
+    if x_hi - cells * h > start:
+        cells += 1
+    return Grid(x_hi - cells * h, x_hi, cells + 1)
 
 
 def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile:
@@ -161,6 +188,11 @@ def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile
         raise InvalidParameterError(
             f"grid ends at {grid.x_hi}, before the rightmost interface "
             f"window reaching {e.rightmost + rp.rho_eps}"
+        )
+    if math.isfinite(e.leftmost) and grid.x_lo > e.leftmost - rp.rho_eps:
+        raise InvalidParameterError(
+            f"grid starts at {grid.x_lo}, after the leftmost interface "
+            f"window reaching {e.leftmost - rp.rho_eps}"
         )
 
     x = grid.x
@@ -234,20 +266,18 @@ class DiscreteEnergy:
         flux = grid.weight_mid * dw
         v = self.op.solve(values)
         report = EnergyReport(
-            gradient=0.5 * eps * grid.h * float(flux @ dw),
-            potential=float(self.q @ _f0(values)) / eps,
-            tilt=p.alpha * float(self.q @ _g(values)),
-            nonlocal_term=0.5 * p.sigma * float(self.q @ (values * v)),
+            gradient=0.5 * eps * grid.h * _dot(flux, dw),
+            potential=_dot(self.q, _f0(values)) / eps,
+            tilt=p.alpha * _dot(self.q, _g(values)),
+            nonlocal_term=0.5 * p.sigma * _dot(self.q, values * v),
         )
         return report, flux, v
 
-    def report(self, values: np.ndarray) -> EnergyReport:
-        return self._terms(values)[0]
-
-    def value_and_grad(self, values: np.ndarray) -> tuple[float, np.ndarray]:
+    def _gradient(self, values: np.ndarray, flux: np.ndarray,
+                  v: np.ndarray) -> np.ndarray:
+        """Energy gradient of a profile, from the flux and response that
+        ``_terms`` returned for it; costs one transposed solve."""
         eps, p = self.p.epsilon, self.p
-        report, flux, v = self._terms(values)
-
         g_grad = np.zeros_like(values)
         g_grad[:-1] -= flux
         g_grad[1:] += flux
@@ -259,8 +289,14 @@ class DiscreteEnergy:
             self.op.solve_transpose(self.q * values)
         )
         g_nonlocal = 0.5 * p.sigma * (self.q * v + adjoint)
+        return g_grad + g_local + g_nonlocal
 
-        return report.total, g_grad + g_local + g_nonlocal
+    def report(self, values: np.ndarray) -> EnergyReport:
+        return self._terms(values)[0]
+
+    def value_and_grad(self, values: np.ndarray) -> tuple[float, np.ndarray]:
+        report, flux, v = self._terms(values)
+        return report.total, self._gradient(values, flux, v)
 
     def preconditioner(self, values: np.ndarray) -> np.ndarray:
         """Diagonal Hessian estimate of the stiff terms, in units of the
@@ -308,16 +344,22 @@ def minimize_energy(
     made tangential to the norm constraint and zeroed on active box faces.
     Steps use a Barzilai-Borwein guess with backtracking; projection is
     box-clamp followed by renormalization.  Accepted steps never increase
-    the energy.  On hitting the iteration cap the best iterate is returned
-    with ``converged=False``.
+    the energy.  A line-search trial costs only its energy (one solve); the
+    gradient (one transposed solve) is finished for the accepted trial
+    alone, from that trial's own flux and response, and the returned report
+    is the final iterate's own.  Only the start is a full
+    ``value_and_grad``.  On hitting the iteration cap the best iterate is
+    returned with ``converged=False``.
     """
     grid, q = engine.grid, engine.q
     lo, hi = engine.box
     w = engine.project(np.asarray(init, dtype=float))
     f, g = engine.value_and_grad(w)
+    report = None  # the start's report is computed only if no step is taken
     step = 1.0
     prev_w = prev_d = None
     grad_norm = math.inf
+    converged = False
     it = 0
     for it in range(1, max_iter + 1):
         d = g / q
@@ -327,11 +369,8 @@ def minimize_energy(
         grad_norm = math.sqrt(float(np.sum(q * d * d)))
         d /= engine.preconditioner(w)
         if grad_norm < tol:
-            return MinimizeResult(
-                profile=SampledFunction(grid, w), value=f,
-                report=engine.report(w), iterations=it - 1, converged=True,
-                grad_norm=grad_norm,
-            )
+            converged, it = True, it - 1
+            break
         if prev_w is not None:
             s = w - prev_w
             y = d - prev_d
@@ -349,17 +388,20 @@ def minimize_energy(
             dist2 = float(np.sum(q * delta * delta))
             if dist2 == 0.0:
                 break
-            f_trial, g_trial = engine.value_and_grad(trial)
-            if f_trial <= f - 1e-4 * dist2 / max(t, 1e-300):
-                w, f, g = trial, f_trial, g_trial
+            trial_report, flux, v = engine._terms(trial)
+            if trial_report.total <= f - 1e-4 * dist2 / max(t, 1e-300):
+                w, report, f = trial, trial_report, trial_report.total
+                g = engine._gradient(w, flux, v)
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
+    if report is None:
+        report = engine.report(w)
     return MinimizeResult(
-        profile=SampledFunction(grid, w), value=f, report=engine.report(w),
-        iterations=it, converged=False, grad_norm=grad_norm,
+        profile=SampledFunction(grid, w), value=f, report=report,
+        iterations=it, converged=converged, grad_norm=grad_norm,
     )
 
 

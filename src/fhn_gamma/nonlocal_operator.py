@@ -80,10 +80,14 @@ class PiecewiseExpSolution:
             out[inner] = 1.0 / self.gamma + self.a2 * np.exp(r2 * x[inner])
         else:
             inner = (~upper) & (x >= -self.ell)
+            xi = x[inner]
+            denom = self.gamma * self.roots.gap
+            # a3 e^{r1 x} = (-r2/denom) e^{r1 (x+ell)}, whose exponent is <= 0
+            # inside; the product a3 * e^{r1 x} is 0 * inf once -r1 x > 709.8
             out[inner] = (
                 1.0 / self.gamma
-                + self.a3 * np.exp(r1 * x[inner])
-                + self.a2 * np.exp(r2 * x[inner])
+                - (r2 / denom) * np.exp(r1 * (xi + self.ell))
+                + self.a2 * np.exp(r2 * xi)
             )
             below = x < -self.ell
             # the response is (r1/(gamma (r2-r1))) (e^{r2 x} - e^{r2 (x+ell)});

@@ -3,8 +3,10 @@ norms / total variation.
 
 All integrals carry the weight e^x.  Quadrature is composite trapezoid with
 the weight evaluated at the nodes, which keeps every energy exactly quadratic
-in the nodal values.  Grids are uniform truncations of the real line; the
-default left cutoff is chosen so the discarded weight mass is below 1e-14.
+in the nodal values.  Grids are uniform truncations of the real line.  With
+the default left cutoff DEFAULT_X_LO the discarded weight mass is below
+1e-14; other cutoffs discard e^{x_lo} (the finite-width solver grids cut at
+weight 1e-9).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhn_gamma.epsilon_solver import (
+    GRID_WEIGHT_TOL,
     DiscreteEnergy,
     build_recovery,
     minimize_energy,
@@ -14,8 +15,8 @@ from fhn_gamma.epsilon_solver import (
 from fhn_gamma.errors import BracketError, InvalidParameterError
 from fhn_gamma.limit_energy import sharp_interface_energy
 from fhn_gamma.model import Params, potentials
-from fhn_gamma.wave_speeds import front_speed
-from fhn_gamma.weighted_space import Grid, IntervalUnion, shift
+from fhn_gamma.wave_speeds import front_speed, limit_speed, pulse_speed
+from fhn_gamma.weighted_space import Grid, IntervalUnion, l2e_norm, shift
 
 FRONT = Params(5.0, 1.0, 1.0, 0.04)
 HALF_LINE = IntervalUnion.single(-math.inf, 0.0)
@@ -78,6 +79,24 @@ def test_build_recovery_grid_too_short():
     grid = Grid.for_interval(0.0, 0.005, x_lo=-12.0)
     with pytest.raises(InvalidParameterError, match="grid ends"):
         build_recovery(HALF_LINE, FRONT, grid)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1])
+def test_solver_grid_covers_left_end_of_pulse(alpha):
+    # a = -46.69 at alpha = 1.05 lies left of DEFAULT_X_LO = -34; a = -23.88
+    # at alpha = 1.1 lies right of it but left of ln GRID_WEIGHT_TOL
+    p = Params(alpha, 1.0, 1.0, 0.04)
+    e = pulse_speed(Params(alpha, 1.0, 1.0)).limit_set
+    grid = solver_grid(e, p.epsilon)
+    assert grid.x_lo <= e.leftmost - 10.0
+    profile = build_recovery(e, p, grid)
+    assert abs(profile.l2e_norm - 1.0) <= 1e-10
+    assert profile.w.values[0] == 0.0
+    assert profile.w.values.max() == 1.0
+    old = Grid.for_interval(e.rightmost + 10.0, p.epsilon / 8.0)
+    if old.x_lo > e.leftmost:
+        with pytest.raises(InvalidParameterError, match="grid starts"):
+            build_recovery(e, p, old)
 
 
 def test_energy_of_zero_profile_is_zero():
@@ -197,3 +216,70 @@ def test_speed_eps_no_sign_change_reports_endpoints():
     with pytest.raises(BracketError, match="no sign change"):
         speed_eps(FRONT, 0.5 * c_f, 2.0 * c_f, grid, init.w.values,
                   max_iter=800)
+
+
+def test_value_only_trials_match_full_evaluations(monkeypatch):
+    # every trial and every accepted gradient through value_and_grad of a
+    # separate engine, as if each trial paid for a full evaluation: the
+    # minimization must not move by a bit
+    grid = small_grid(0.04)
+    engine = DiscreteEnergy(grid, 1.0, FRONT)
+    init = engine.project(np.where(grid.x < 0.0, 1.0, 0.0) + 0.0)
+    fast = minimize_energy(engine, init, max_iter=200)
+
+    full = DiscreteEnergy(grid, 1.0, FRONT)
+
+    def terms(values):
+        out = full._terms(values)
+        assert full.value_and_grad(values)[0] == out[0].total
+        return out
+
+    monkeypatch.setattr(engine, "_terms", terms)
+    monkeypatch.setattr(engine, "_gradient",
+                        lambda values, flux, v: full.value_and_grad(values)[1])
+    slow = minimize_energy(engine, init, max_iter=200)
+    assert fast.iterations == slow.iterations > 0
+    assert fast.value == slow.value
+    assert fast.grad_norm == slow.grad_norm
+    assert fast.converged == slow.converged
+    assert fast.report == slow.report == full.report(fast.profile.values)
+    assert fast.profile.values.tobytes() == slow.profile.values.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [2.0, 5.0])
+def test_solver_grid_cut_keeps_nodes_and_energies(alpha):
+    # the pulse (2, 1, 1) and the front (5, 1, 1) at eps = 0.04, against the
+    # grid from DEFAULT_X_LO that solver_grid used before the cut
+    eps = 0.04
+    p = Params(alpha, 1.0, 1.0, eps)
+    limit = limit_speed(Params(alpha, 1.0, 1.0))
+    e, c = limit.limit_set, limit.to_dict()["c"]
+    grid = solver_grid(e, eps)
+    full = Grid.for_interval(e.rightmost + 10.0, eps / 8.0)
+    cut = full.n - grid.n
+    assert cut > 0.25 * full.n
+    assert math.exp(full.x[cut - 1]) < GRID_WEIGHT_TOL
+    assert np.max(np.abs(grid.x - full.x[cut:])) <= 1e-12
+    assert grid.h == pytest.approx(full.h, rel=1e-13)
+
+    w_full = build_recovery(e, p, full).w.values
+    w_cut = build_recovery(e, p, grid).w.values
+    e_full = DiscreteEnergy(full, c, p).report(w_full).total
+    e_cut = DiscreteEnergy(grid, c, p)
+    assert abs(e_cut.report(w_cut).total - e_full) <= 1e-9
+    assert abs(e_cut.report(w_full[cut:]).total - e_full) <= 1e-9
+    assert abs(l2e_norm(grid, w_full[cut:]) - l2e_norm(full, w_full)) <= 1e-9
+
+
+def test_solver_grid_starts_left_of_the_set():
+    for e in (IntervalUnion.single(-60.0, 0.0),
+              IntervalUnion.single(-25.0, -1.0),
+              IntervalUnion.single(-3.0, 0.0),
+              IntervalUnion(((-1.0, 0.0), (-41.5, -40.0)))):
+        for eps in (0.04, 0.03):
+            grid = solver_grid(e, eps)
+            assert grid.x_lo <= e.leftmost - 10.0
+            assert grid.x_lo <= math.log(GRID_WEIGHT_TOL)
+            assert grid.x_lo > min(math.log(GRID_WEIGHT_TOL),
+                                   e.leftmost - 10.0) - grid.h
+            assert grid.h <= eps / 8.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,27 @@ def test_indicator_response_decays_both_ways():
     assert sol(np.array([50.0]))[0] < 1e-20
     assert sol(np.array([-300.0]))[0] < 1e-20
     assert sol(np.array([-1.0]))[0] > 0.0
+
+
+def test_indicator_response_finite_on_wide_supports():
+    # the pulse at (1.001, 1, 1) and a wide slow support: a3 underflows to 0
+    # while e^{r1 x} overflows on most of the support
+    for ell, c, x_lo in [(2281.905, 92.0993, -2281.2), (900.0, 1.3, -900.0)]:
+        sol = lc_indicator(ell, c, 1.0)
+        x = np.linspace(x_lo, 0.0, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = sol(x)
+        assert np.all(np.isfinite(v))
+        r1, r2 = sol.roots.r1, sol.roots.r2
+        with np.errstate(over="ignore", invalid="ignore"):
+            product_form = (1.0 / sol.gamma + sol.a3 * np.exp(r1 * x)
+                            + sol.a2 * np.exp(r2 * x))
+        finite = np.isfinite(product_form)
+        assert not finite.all()
+        assert np.max(np.abs(v[finite] - product_form[finite])) <= 1e-13
+        for res in sol.junction_residuals().values():
+            assert res < 1e-13
 
 
 def test_indicator_response_semi_infinite():
