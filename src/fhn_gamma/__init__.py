@@ -14,6 +14,7 @@ from .epsilon_solver import (
     MinimizeResult,
     RecoveryProfile,
     SpeedResult,
+    SpeedStep,
     StudyResult,
     build_recovery,
     convergence_study,
@@ -85,12 +86,12 @@ __all__ = [
     "InvalidParameterError", "LimitEnergyBreakdown", "MinimizeResult",
     "NonConvergenceError", "Params", "PulseResult", "RecoveryProfile",
     "Regime", "RegimeError", "RegimeTag", "SampledFunction", "SpeedResult",
-    "StudyResult", "WidthCondition", "build_recovery", "char_roots",
-    "classify", "convergence_study", "front_condition", "front_energy",
-    "front_speed", "gamma_star", "gamma_star_limit", "interval_energy",
-    "lc_indicator", "lc_solve_fd", "limit_speed", "minimize_energy",
-    "nonlocal_energy", "optimal_width", "potentials", "pulse_speed",
-    "recovery_profile", "sharp_interface_energy", "shift", "solver_grid",
-    "speed_eps", "speed_ratio", "total_variation_e",
+    "SpeedStep", "StudyResult", "WidthCondition", "build_recovery",
+    "char_roots", "classify", "convergence_study", "front_condition",
+    "front_energy", "front_speed", "gamma_star", "gamma_star_limit",
+    "interval_energy", "lc_indicator", "lc_solve_fd", "limit_speed",
+    "minimize_energy", "nonlocal_energy", "optimal_width", "potentials",
+    "pulse_speed", "recovery_profile", "sharp_interface_energy", "shift",
+    "solver_grid", "speed_eps", "speed_ratio", "total_variation_e",
     "total_variation_e_sampled", "weighted_norms", "width_condition",
 ]

@@ -363,6 +363,7 @@ def _cmd_speed_eps(opts):
         "c_eps": result.c_eps,
         "value": result.value,
         "iterations": result.iterations,
+        "minimizations": len(result.steps),
         "converged": result.converged,
         "c_limit": c_limit,
     }

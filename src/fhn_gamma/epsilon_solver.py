@@ -23,11 +23,12 @@ from scipy.optimize import brentq
 from .errors import BracketError, InvalidParameterError
 from .model import SQRT2, Params, box_constants
 from .nonlocal_operator import InhibitorOperator
+from .wave_speeds import _newton_root, limit_speed
 from .weighted_space import Grid, IntervalUnion, SampledFunction, l2e_norm
 
-#: value tolerance on the minimum energy in the speed bisection
+#: the speed solve stops once the minimum energy is this small in magnitude
 SPEED_VALUE_TOL = 5e-4
-#: bracket-width tolerance in the speed bisection
+#: or once its Newton step (or bracket) is this small relative to max(1, c)
 SPEED_BRACKET_TOL = 1e-6
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
@@ -298,6 +299,14 @@ class DiscreteEnergy:
         report, flux, v = self._terms(values)
         return report.total, self._gradient(values, flux, v)
 
+    def d_speed(self, values: np.ndarray) -> float:
+        """Speed derivative of the energy at a fixed profile.  Only the
+        nonlocal term depends on c: (sigma/2) sum q w dv/dc, with dv/dc from
+        ``InhibitorOperator.d_speed``; costs two solves."""
+        v = self.op.solve(values)
+        dv = self.op.d_speed(values, v)
+        return 0.5 * self.p.sigma * _dot(self.q, values * dv)
+
     def preconditioner(self, values: np.ndarray) -> np.ndarray:
         """Diagonal Hessian estimate of the stiff terms, in units of the
         quadrature weight.  Dividing the gradient by it equalizes the step
@@ -406,6 +415,19 @@ def minimize_energy(
 
 
 @dataclass(frozen=True)
+class SpeedStep:
+    """One minimization of the speed solve: the speed, the minimum value
+    reached, its slope dm/dc = dE/dc at that profile, and the minimizer's
+    iteration count and convergence flag."""
+
+    c: float
+    value: float
+    slope: float
+    iterations: int
+    converged: bool
+
+
+@dataclass(frozen=True)
 class SpeedResult:
     c_eps: float
     value: float
@@ -413,6 +435,8 @@ class SpeedResult:
     report: EnergyReport
     iterations: int
     converged: bool
+    #: one entry per minimization, in evaluation order
+    steps: tuple[SpeedStep, ...]
 
 
 def speed_eps(
@@ -426,48 +450,51 @@ def speed_eps(
 ) -> SpeedResult:
     """Speed at which the constrained minimum energy crosses zero.
 
-    Bisection on the speed, stopping once the minimum value is below
-    SPEED_VALUE_TOL in magnitude or the bracket is narrower than
-    SPEED_BRACKET_TOL.  Minimizations warm-start from the previous
-    minimizer; the bracket must straddle a sign change.
+    The minimum energy m(c) decreases strictly in the speed, and by the
+    envelope identity its slope is the energy's speed derivative at the
+    minimizer, dm/dc = dE/dc(w*, c).  After minimizations at both bracket
+    ends, which must straddle a sign change, safeguarded Newton
+    (``wave_speeds._newton_root``) starts from c_lo, where m is positive.
+    On the pulse, m is convex there, so exact Newton steps approach the
+    root from below; a step that the capped minimizations carry past it
+    only moves the bracket.  The solve stops once |m| is at most
+    SPEED_VALUE_TOL or a Newton step is at most SPEED_BRACKET_TOL
+    relative.  Minimizations warm-start from the previous minimizer.
+    Returns the evaluated speed with the smallest |m|, and every
+    minimization in ``steps``.
     """
     if not 0.0 < c_lo < c_hi:
         raise BracketError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
 
     warm = np.asarray(init, dtype=float)
-    total_iters = 0
+    steps = []
+    best = None  # (c, MinimizeResult) with the smallest |m| so far
 
-    def minimum(c: float) -> MinimizeResult:
-        nonlocal warm, total_iters
-        res = minimize_energy(DiscreteEnergy(grid, c, p), warm,
-                              tol=tol, max_iter=max_iter)
+    def minimum(c: float):
+        nonlocal warm, best
+        engine = DiscreteEnergy(grid, c, p)
+        res = minimize_energy(engine, warm, tol=tol, max_iter=max_iter)
         warm = res.profile.values
-        total_iters += res.iterations
-        return res
+        slope = engine.d_speed(warm)
+        steps.append(SpeedStep(c, res.value, slope, res.iterations, res.converged))
+        if best is None or abs(res.value) < abs(best[1].value):
+            best = (c, res)
+        return res.value, slope, res
 
-    res_lo = minimum(c_lo)
-    res_hi = minimum(c_hi)
-    if not res_lo.value > 0.0 > res_hi.value:
+    f_lo = minimum(c_lo)
+    f_hi = minimum(c_hi)
+    if not f_lo[0] > 0.0 > f_hi[0]:
         raise BracketError(
             f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
-            f"m({c_lo})={res_lo.value}, m({c_hi})={res_hi.value}"
+            f"m({c_lo})={f_lo[0]}, m({c_hi})={f_hi[0]}"
         )
-    best = res_lo if abs(res_lo.value) < abs(res_hi.value) else res_hi
-    c_best = c_lo if best is res_lo else c_hi
-    while c_hi - c_lo > SPEED_BRACKET_TOL:
-        c_mid = 0.5 * (c_lo + c_hi)
-        res = minimum(c_mid)
-        if abs(res.value) < abs(best.value):
-            best, c_best = res, c_mid
-        if abs(res.value) < SPEED_VALUE_TOL:
-            break
-        if res.value > 0.0:
-            c_lo = c_mid
-        else:
-            c_hi = c_mid
+    _newton_root(minimum, c_lo, c_hi, c_lo, f_lo,
+                 xtol=SPEED_BRACKET_TOL, ftol=SPEED_VALUE_TOL)
+    c_best, res = best
     return SpeedResult(
-        c_eps=c_best, value=best.value, profile=best.profile,
-        report=best.report, iterations=total_iters, converged=best.converged,
+        c_eps=c_best, value=res.value, profile=res.profile, report=res.report,
+        iterations=sum(step.iterations for step in steps),
+        converged=res.converged, steps=tuple(steps),
     )
 
 
@@ -506,10 +533,10 @@ def convergence_study(
     The default per-minimization iteration budget is far below the cap of
     minimize_energy: the energy value settles orders of magnitude inside
     the speed tolerance long before the slow translation mode drives the
-    gradient norm to its tolerance, and only the value enters the bisection.
+    gradient norm to its tolerance.  Only the value and its speed slope
+    enter the Newton speed solve; their errors are of second and first
+    order in the profile's distance from the minimizer.
     """
-    from .wave_speeds import limit_speed
-
     limit = limit_speed(p)
     c_limit = limit.to_dict()["c"]
     e = limit.limit_set

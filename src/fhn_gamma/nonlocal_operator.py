@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import GridError, InvalidParameterError, NonConvergenceError
 from .weighted_space import Grid, SampledFunction
@@ -44,6 +44,13 @@ def char_roots(c: float, gamma: float) -> CharRoots:
     s = math.sqrt(c * c + 4.0 * gamma)
     r2 = 2.0 * gamma / (c * (c + s))
     return CharRoots(r1=-1.0 - r2, r2=r2)
+
+
+#: largest log of an entry the symmetrized solves form from unit data: the
+#: largest entry of D (or D^{-1}) times the largest right-end coefficient.
+#: e^650 leaves a factor e^59 below the float range for the data, the 2/c of
+#: the speed derivative and the growth 1/lambda_min(S) of the solve.
+MAX_LOG_SCALE = 650.0
 
 
 def _exp(z: float) -> float:
@@ -158,10 +165,19 @@ class InhibitorOperator:
     Solves gamma v - c^2 v'' - c^2 v' = f with Robin conditions matching the
     exact exponential decay: v' = r2 (v - f_lo/gamma) at x_lo and
     v' = r1 (v - f_hi/gamma) at x_hi, where f_lo, f_hi are the boundary data
-    values (constant extension of f outside the grid).  The matrix is
-    factored once per (grid, speed) with LAPACK dgttrf; both ``solve`` and
-    the adjoint ``solve_transpose`` reuse that factorization.  Immutable
-    after construction; safe to share across threads.
+    values (constant extension of f outside the grid).
+
+    The system matrix A is one diagonal similarity away from a symmetric
+    positive-definite tridiagonal matrix S = D A D^{-1}: the interior ratio
+    D_{i+1}/D_i = sqrt((1 + h/2)/(1 - h/2)) depends on neither c nor gamma,
+    so D is close to e^{x/2}.  S is factored once per (grid, speed) with
+    LAPACK dpttrf; ``solve`` is D^{-1} S^{-1} D B and the adjoint
+    ``solve_transpose`` is D S^{-1} D^{-1}, both from the same factors.
+    The right-hand sides of those solves hold D_{n-1} ~ e^{length/4} times
+    the right-end Robin coefficient (about 2 c^2/(h gamma)); grids on which
+    that product would pass e^MAX_LOG_SCALE raise GridError, which happens
+    beyond about 2,500 units.  Immutable after construction; safe to share
+    across threads.
     """
 
     def __init__(self, grid: Grid, c: float, gamma: float):
@@ -172,6 +188,7 @@ class InhibitorOperator:
                 f"grid spacing {h} too coarse for decay rates "
                 f"r1={roots.r1:.3g}, r2={roots.r2:.3g}"
             )
+        n = grid.n
         self.grid = grid
         self.c = c
         self.gamma = gamma
@@ -181,33 +198,98 @@ class InhibitorOperator:
         sub = -c2 / h**2 + c2 / (2.0 * h)
         diag = 2.0 * c2 / h**2 + gamma
         sup = -c2 / h**2 - c2 / (2.0 * h)
-        n = grid.n
-
-        dl = np.full(n - 1, sub)
-        d = np.full(n, diag)
-        du = np.full(n - 1, sup)
-        # ghost elimination at x_lo: v_{-1} = v_1 - 2h r2 v_0 + 2h r2 f_0/gamma
-        d[0] = diag - sub * 2.0 * h * roots.r2
-        du[0] = sup + sub
-        # ghost elimination at x_hi: v_n = v_{n-2} + 2h r1 v_{n-1} - 2h r1 f_{n-1}/gamma
-        d[-1] = diag + sup * 2.0 * h * roots.r1
-        dl[-1] = sub + sup
-        *lu, info = dgttrf(dl, d, du)
-        if info != 0:  # pragma: no cover - defensive
-            raise NonConvergenceError(
-                f"singular inhibitor system: zero pivot in row {info}"
-            )
-        self._lu = lu
         # boundary-data coupling of the right-hand side (diagonal, two corners)
         self._b_lo = 1.0 - sub * 2.0 * h * roots.r2 / gamma
         self._b_hi = 1.0 + sup * 2.0 * h * roots.r1 / gamma
+        # the speed derivative's end rows, (2/c)(gamma v - B f) plus the
+        # Robin rows' dependence on c through the decay rates r1, r2 (the
+        # implicit derivative of c^2 r^2 + c^2 r - gamma = 0; dr1/dc = -dr2/dc)
+        dr2 = -2.0 * roots.r2 * (roots.r2 + 1.0) / (c * (2.0 * roots.r2 + 1.0))
+        self._speed_lo = (
+            2.0 * gamma / c + 2.0 * h * sub * dr2,
+            -2.0 * self._b_lo / c
+            - 2.0 * h * sub * (2.0 * roots.r2 / c + dr2) / gamma,
+        )
+        self._speed_hi = (
+            2.0 * gamma / c + 2.0 * h * sup * dr2,
+            -2.0 * self._b_hi / c
+            + 2.0 * h * sup * (2.0 * roots.r1 / c - dr2) / gamma,
+        )
+
+        # D grows to the right, so the largest entries formed are D_{n-1}
+        # times a right-end coefficient (D_0 times a left-end one is tiny)
+        log_ratio = math.atanh(0.5 * h)
+        half = 0.5 * (n - 1)
+        log_scale = log_ratio * half + math.log(
+            max(1.0, abs(self._b_hi), *map(abs, self._speed_hi)))
+        if log_scale > MAX_LOG_SCALE:
+            raise GridError(
+                f"grid of length {grid.x_hi - grid.x_lo:.6g} too long for the "
+                f"symmetrized inhibitor solve (log of its largest scaled "
+                f"coefficient {log_scale:.4g} > {MAX_LOG_SCALE:g})"
+            )
+
+        d = np.full(n, diag)
+        # ghost elimination at x_lo: v_{-1} = v_1 - 2h r2 v_0 + 2h r2 f_0/gamma,
+        # so row 0 is (d_0, sub + sup); at x_hi: v_n = v_{n-2} + 2h r1 v_{n-1}
+        # - 2h r1 f_{n-1}/gamma, so row n-1 is (sub + sup, d_{n-1})
+        d[0] = diag - sub * 2.0 * h * roots.r2
+        d[-1] = diag + sup * 2.0 * h * roots.r1
+        # off-diagonal of S: -sqrt(A_{i,i+1} A_{i+1,i})
+        e = np.full(n - 1, -math.sqrt(sub * sup))
+        e[0] = -math.sqrt((sub + sup) * sub)
+        e[-1] = -math.sqrt(sup * (sub + sup))
+        *self._factors, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        if info != 0:  # pragma: no cover - defensive
+            raise NonConvergenceError(
+                f"inhibitor system not positive definite: pivot {info}"
+            )
+        # D as one centred geometric progression, whose reversal is its
+        # inverse; the end ratios D_1/D_0 = sqrt((sub + sup)/sub) and
+        # D_{n-1}/D_{n-2} = sqrt(sup/(sub + sup)) come from the Robin rows
+        scale = np.arange(n, dtype=float)
+        scale -= half
+        scale *= log_ratio
+        np.exp(scale, out=scale)
+        inv_scale = scale[::-1].copy()
+        end_lo = math.sqrt(sub / (sub + sup))
+        end_hi = math.sqrt(sup / (sub + sup))
+        scale[0] = scale[1] * end_lo
+        scale[-1] = scale[-2] * end_hi
+        inv_scale[0] = inv_scale[1] / end_lo
+        inv_scale[-1] = inv_scale[-2] / end_hi
+        self._scale = scale
+        self._inv_scale = inv_scale
+        scale_b = scale.copy()
+        scale_b[0] *= self._b_lo
+        scale_b[-1] *= self._b_hi
+        self._scale_b = scale_b
+
+    def _solve_scaled(self, left: np.ndarray, right: np.ndarray,
+                      f: np.ndarray) -> np.ndarray:
+        """left * S^{-1} (right * f), from the dpttrf factors."""
+        x = dpttrs(*self._factors, right * f, overwrite_b=1)[0]
+        x *= left
+        return x
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        return dgttrs(*self._lu, self.apply_boundary_coupling(f))[0]
+        return self._solve_scaled(self._inv_scale, self._scale_b, f)
 
     def solve_transpose(self, f: np.ndarray) -> np.ndarray:
         """Solve with the transposed system matrix (used by energy gradients)."""
-        return dgttrs(*self._lu, f, trans="T")[0]
+        return self._solve_scaled(self._scale, self._inv_scale, f)
+
+    def d_speed(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Speed derivative of the response v = solve(f) at fixed data f.
+
+        dv/dc = A^{-1} (B_c f - A_c v), where A_c = (2/c)(A - gamma I) plus
+        the decay-rate dependence of the two Robin rows, and A v = B f.
+        Costs one solve.
+        """
+        rhs = (2.0 / self.c) * (self.gamma * v - f)
+        rhs[0] = self._speed_lo[0] * v[0] + self._speed_lo[1] * f[0]
+        rhs[-1] = self._speed_hi[0] * v[-1] + self._speed_hi[1] * f[-1]
+        return self._solve_scaled(self._inv_scale, self._scale, rhs)
 
     def apply_boundary_coupling(self, f: np.ndarray) -> np.ndarray:
         """Right-hand side including the boundary-data coupling B f."""

@@ -2,12 +2,14 @@
 
 The front speed has a closed form.  The pulse speed solves a nested pair of
 monotone scalar equations, each by safeguarded Newton: Newton steps on the
-closed-form derivatives, with a bisection step whenever a Newton step would
-leave the current sign bracket.  The inner level finds the optimal width,
-the root in the width of the width condition Q (strictly decreasing in the
-width).  The outer level drives the interval energy along the
-optimal-width path, g(c) = J(l*(c), c), to zero; g is strictly decreasing,
-and its exact derivative is J_c - J_l Q_c / Q_l.
+closed-form derivatives, with a step to the bracket's geometric mean
+whenever a Newton step would leave the current sign bracket.  The inner
+level finds the optimal width, the root in the width of the width
+condition Q (strictly decreasing in the width).  The outer level drives
+the interval energy along the optimal-width path, g(c) = J(l*(c), c), to
+zero; g is strictly decreasing, and its exact derivative is
+J_c - J_l Q_c / Q_l.  The finite-width speed solve (``speed_eps``) uses the
+same ``_newton_root``.
 """
 
 from __future__ import annotations
@@ -102,25 +104,28 @@ def front_speed(p: Params) -> FrontResult:
                        strict=regime.strict)
 
 
-def _newton_root(f, lo: float, hi: float, x: float, fx):
-    """Root of a strictly decreasing f on the bracket lo < root < hi.
+def _newton_root(f, lo: float, hi: float, x: float, fx, *,
+                 xtol: float = NEWTON_XTOL, ftol: float = 0.0):
+    """Root of a strictly decreasing f on the positive bracket
+    0 < lo < root < hi.
 
     ``f(x)`` returns (value, slope, data) and ``fx`` is f at the starting
     point x.  Each evaluation moves the bracket end of its sign to x.  A
-    Newton step that leaves the bracket is replaced by its midpoint.  Stops
-    at the first evaluated point whose Newton step is below NEWTON_XTOL
-    relative, at an exact zero, or when the bracket is that narrow; returns
-    that point and its data.
+    Newton step that leaves the bracket is replaced by the bracket's
+    geometric mean.  Stops at the first evaluated point whose |value| is at
+    most ``ftol`` or whose Newton step is at most ``xtol`` relative (to
+    max(1, |x|)), or when the bracket is that narrow; returns that point and
+    its data.
     """
     value, slope, data = fx
-    while value != 0.0:
+    while abs(value) > ftol:
         step = value / slope if slope < 0.0 else math.inf
-        if (abs(step) <= NEWTON_XTOL * max(1.0, abs(x))
-                or hi - lo <= NEWTON_XTOL * max(1.0, hi)):
+        if (abs(step) <= xtol * max(1.0, abs(x))
+                or hi - lo <= xtol * max(1.0, hi)):
             break
         x = x - step
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+            x = math.sqrt(lo * hi)
         value, slope, data = f(x)
         if value > 0.0:
             lo = x

@@ -72,6 +72,17 @@ def test_lc_apply_missing_file_is_io_error(tmp_path):
     assert code == 4
 
 
+def test_lc_apply_grid_too_long_is_invalid_input(tmp_path, capsys):
+    # 3,000 units: past the length the symmetrized inhibitor solve accepts
+    grid = Grid(-2990.0, 10.0, 12001)
+    src = tmp_path / "long.csv"
+    SampledFunction(grid, np.where(grid.x < 0.0, 1.0, 0.0)).to_csv(src)
+    code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+                "--c", "1.0", "--input", str(src)])
+    assert code == 2
+    assert "too long" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 2\ngamma = 1\nsigma = 1\n# comment\n")
@@ -153,6 +164,9 @@ def test_speed_eps_short_budget_reports_nonconvergence(capsys, monkeypatch):
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is False
     assert len(calls) == 1
+    # the two bracket ends and at least one Newton step, each capped at 20
+    assert summary["minimizations"] >= 3
+    assert summary["iterations"] <= 20 * summary["minimizations"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fhn_gamma import epsilon_solver
 from fhn_gamma.epsilon_solver import (
     GRID_WEIGHT_TOL,
+    SPEED_VALUE_TOL,
     DiscreteEnergy,
     build_recovery,
     minimize_energy,
@@ -283,3 +285,53 @@ def test_solver_grid_starts_left_of_the_set():
             assert grid.x_lo > min(math.log(GRID_WEIGHT_TOL),
                                    e.leftmost - 10.0) - grid.h
             assert grid.h <= eps / 8.0
+
+
+def test_energy_speed_derivative_matches_central_difference():
+    eps = 0.04
+    p = Params(2.0, 1.0, 1.0, eps)
+    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
+    grid = solver_grid(pulse.limit_set, eps)
+    w = build_recovery(pulse.limit_set, p, grid).w.values
+    for c in (0.8 * pulse.c_p, pulse.c_p, 1.3 * pulse.c_p):
+        slope = DiscreteEnergy(grid, c, p).d_speed(w)
+        dc = 1e-3 * c
+        fd = (DiscreteEnergy(grid, c + dc, p).report(w).total
+              - DiscreteEnergy(grid, c - dc, p).report(w).total) / (2.0 * dc)
+        assert slope < 0.0
+        assert slope == pytest.approx(fd, rel=1e-5)
+
+
+#: minimizations of the bisection that the Newton speed solve replaced, on
+#: the pulse (2, 1, 1) at eps = 0.04 with 300 iterations per minimization
+_BISECTION_MINIMIZATIONS = {1.1: 5, 2.0: 9}
+
+
+@pytest.mark.parametrize("factor", sorted(_BISECTION_MINIMIZATIONS))
+def test_speed_newton_needs_no_more_minimizations_than_bisection(
+        factor, monkeypatch):
+    eps = 0.04
+    p = Params(2.0, 1.0, 1.0, eps)
+    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
+    grid = solver_grid(pulse.limit_set, eps)
+    init = build_recovery(pulse.limit_set, p, grid)
+    calls = []
+    minimize = epsilon_solver.minimize_energy
+
+    def counted(engine, *args, **kwargs):
+        calls.append(engine.c)
+        return minimize(engine, *args, **kwargs)
+
+    monkeypatch.setattr(epsilon_solver, "minimize_energy", counted)
+    c_lo, c_hi = pulse.c_p / factor, pulse.c_p * factor
+    res = speed_eps(p, c_lo, c_hi, grid, init.w.values, max_iter=300)
+    assert len(calls) <= _BISECTION_MINIMIZATIONS[factor]
+    assert abs(res.value) < SPEED_VALUE_TOL
+    assert c_lo < res.c_eps < c_hi
+    # one step per minimization, in evaluation order, the ends first
+    assert [step.c for step in res.steps] == calls
+    assert calls[:2] == [c_lo, c_hi]
+    assert res.iterations == sum(step.iterations for step in res.steps)
+    best = min(res.steps, key=lambda step: abs(step.value))
+    assert (best.c, best.value) == (res.c_eps, res.value)
+    assert all(step.slope < 0.0 for step in res.steps)

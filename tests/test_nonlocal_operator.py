@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 
+from fhn_gamma.epsilon_solver import solver_grid
 from fhn_gamma.errors import GridError, InvalidParameterError
+from fhn_gamma.model import Params
 from fhn_gamma.nonlocal_operator import (
     InhibitorOperator,
     char_roots,
@@ -12,6 +15,7 @@ from fhn_gamma.nonlocal_operator import (
     lc_solve_fd,
     nonlocal_energy,
 )
+from fhn_gamma.wave_speeds import pulse_speed
 from fhn_gamma.weighted_space import Grid, SampledFunction
 
 
@@ -209,3 +213,88 @@ def test_lc_solve_fd_wrapper():
     assert v.grid is grid
     assert np.all(np.isfinite(v.values))
     assert v.values.max() > 0.0
+
+
+def _pivoting_reference(grid, c, gamma):
+    """The inhibitor matrix factored as it is, without symmetrization,
+    by LAPACK's pivoting dgttrf."""
+    r = char_roots(c, gamma)
+    h, n = grid.h, grid.n
+    sub = -c * c / h**2 + c * c / (2.0 * h)
+    diag = 2.0 * c * c / h**2 + gamma
+    sup = -c * c / h**2 - c * c / (2.0 * h)
+    dl, d, du = np.full(n - 1, sub), np.full(n, diag), np.full(n - 1, sup)
+    d[0] -= 2.0 * h * r.r2 * sub
+    du[0] += sub
+    d[-1] += 2.0 * h * r.r1 * sup
+    dl[-1] += sup
+    *lu, info = dgttrf(dl, d, du)
+    assert info == 0
+    return lu
+
+
+def _long_grids():
+    pulse = pulse_speed(Params(1.01, 1.0, 1.0))
+    yield solver_grid(pulse.limit_set, 0.04), pulse.c_p
+    # 2,312 units at h = 0.05, slow and fast decay
+    for c in (0.5, 92.1):
+        yield Grid(-2302.0, 10.0, 46241), c
+
+
+def test_symmetric_solve_matches_pivoting_reference_on_long_grids():
+    rng = np.random.default_rng(29)
+    for grid, c in _long_grids():
+        assert grid.x_hi - grid.x_lo > 240.0
+        op = InhibitorOperator(grid, c, 1.0)
+        lu = _pivoting_reference(grid, c, 1.0)
+        f = rng.uniform(-1.6, 1.0, grid.n)
+        g = grid.weight * grid.h * rng.uniform(-1.6, 1.0, grid.n)
+        for got, want in (
+                (op.solve(f), dgttrs(*lu, op.apply_boundary_coupling(f))[0]),
+                (op.solve_transpose(g), dgttrs(*lu, g, trans="T")[0])):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_grid_too_long_for_symmetrization_raises():
+    grid = Grid(-2990.0, 10.0, 60001)  # 3,000 units at h = 0.05
+    with pytest.raises(GridError, match="too long"):
+        InhibitorOperator(grid, 1.0, 1.0)
+
+
+def test_cap_counts_the_right_end_robin_coefficient():
+    # at c = 90 the solves form D_{n-1} times the right-end Robin
+    # coefficient, about 2 c^2/(h gamma) = 3.2e5; a grid just under the cap
+    # stays finite with pulse-like data (zero at the right end) ...
+    c, gamma, h = 90.0, 1.0, 0.05
+    grid = Grid(10.0 - 50940 * h, 10.0, 50941)  # 2,547 units
+    op = InhibitorOperator(grid, c, gamma)
+    lu = _pivoting_reference(grid, c, gamma)
+    f = np.where(grid.x < 0.0, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = op.solve(f)
+        dv = op.d_speed(f, v)
+        t = op.solve_transpose(grid.weight * f)
+    want = dgttrs(*lu, op.apply_boundary_coupling(f))[0]
+    assert np.max(np.abs(v - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.all(np.isfinite(dv)) and np.all(np.isfinite(t))
+    # ... and 2,560 units, where |log D| alone is about 640, raise
+    with pytest.raises(GridError, match="too long"):
+        InhibitorOperator(Grid(10.0 - 51200 * h, 10.0, 51201), c, gamma)
+
+
+@pytest.mark.parametrize("c", [0.7, 1.3, 2.3])
+def test_speed_derivative_matches_central_difference(c):
+    # data nonzero at both ends, so the Robin rows' speed dependence counts
+    grid = Grid(-12.0, 4.0, 801)
+    gamma = 1.2
+    x = grid.x
+    f = np.exp(-(x + 3.0) ** 2) + 0.3 * np.tanh(x) + 0.2
+    op = InhibitorOperator(grid, c, gamma)
+    dv = op.d_speed(f, op.solve(f))
+    dc = 1e-3 * c
+    fd = (InhibitorOperator(grid, c + dc, gamma).solve(f)
+          - InhibitorOperator(grid, c - dc, gamma).solve(f)) / (2.0 * dc)
+    # leaving out the Robin rows' terms gives an error above 2 on this scale
+    assert np.max(np.abs(dv - fd)) <= 1e-5 * np.max(np.abs(fd))

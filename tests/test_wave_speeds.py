@@ -248,7 +248,7 @@ def test_pulse_speed_call_counts(monkeypatch):
                         counted("energy", wave_speeds.interval_energy))
     result = pulse_speed(PULSE)
     assert result.c_p == pytest.approx(C_P_ORACLE, rel=1e-12)
-    assert calls["width"] <= 100
+    assert calls["width"] <= 70
     assert calls["energy"] <= 15
 
 
