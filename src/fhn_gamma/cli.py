@@ -20,6 +20,7 @@ import sys
 
 from . import svg
 from .epsilon_solver import (
+    BRACKET_FACTOR,
     STUDY_COLUMNS,
     DiscreteEnergy,
     build_recovery,
@@ -352,8 +353,8 @@ def _cmd_speed_eps(opts):
     p = _params(opts, with_eps=True)
     limit = limit_speed(p)
     c_limit = limit.to_dict()["c"]
-    c_lo = opts["c_lo"] if opts["c_lo"] is not None else 0.5 * c_limit
-    c_hi = opts["c_hi"] if opts["c_hi"] is not None else 2.0 * c_limit
+    c_lo = opts["c_lo"] if opts["c_lo"] is not None else c_limit / BRACKET_FACTOR
+    c_hi = opts["c_hi"] if opts["c_hi"] is not None else c_limit * BRACKET_FACTOR
     e = limit.limit_set
     grid = solver_grid(e, p.epsilon)
     init = build_recovery(e, p, grid)

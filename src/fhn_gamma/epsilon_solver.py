@@ -21,10 +21,16 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketError, InvalidParameterError
-from .model import SQRT2, Params, box_constants
+from .model import F0, G, Params, box_constants, f_eps
 from .nonlocal_operator import InhibitorOperator
 from .wave_speeds import _newton_root, limit_speed
-from .weighted_space import Grid, IntervalUnion, SampledFunction, l2e_norm
+from .weighted_space import (
+    Grid,
+    IntervalUnion,
+    SampledFunction,
+    l2e_norm,
+    weighted_dot,
+)
 
 #: the speed solve stops once the minimum energy is this small in magnitude
 SPEED_VALUE_TOL = 5e-4
@@ -32,29 +38,15 @@ SPEED_VALUE_TOL = 5e-4
 SPEED_BRACKET_TOL = 1e-6
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
-
-
-def _f0(u):
-    """Balanced double well u^2 (1-u)^2 / 4, vectorized."""
-    return 0.25 * u * u * (1.0 - u) ** 2
-
-
-def _g(u):
-    """Tilt potential (u^3/3 - u^2/2) / sqrt(2), vectorized."""
-    return (u * u * u / 3.0 - 0.5 * u * u) / SQRT2
-
-
-def _dot(a, b) -> float:
-    """Sum of a*b.  einsum, not BLAS: above about 10,000 elements OpenBLAS
-    splits a dot product across threads, which can stall it for
-    milliseconds on a busy machine."""
-    return float(np.einsum("i,i->", a, b))
-
-
-def _f_eps(u, beta):
-    """Cubic nonlinearity -u (u - beta) (u - 1); its negative is the
-    derivative of F0/eps + alpha G rescaled by eps."""
-    return -u * (u - beta) * (u - 1.0)
+#: solver grids reach this far past both ends of the set
+GRID_PAD = 10.0
+#: recovery profiles are sampled at this many points, from an inverse taken
+#: on this many quadrature points in u
+RECOVERY_NODES = 20001
+RECOVERY_QUAD_NODES = 400001
+#: speed bracket of convergence_study and the default of fhn-gamma speed-eps:
+#: [c_limit / BRACKET_FACTOR, c_limit * BRACKET_FACTOR]
+BRACKET_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -83,27 +75,27 @@ class RecoveryProfile:
         samples, with the derivative taken by central differences."""
         h = self.x[1] - self.x[0]
         du = (self.u[2:] - self.u[:-2]) / (2.0 * h)
-        res = 0.5 * self.eps**2 * du**2 - _f0(self.u[1:-1]) - 0.5 * self.eps
+        res = 0.5 * self.eps**2 * du**2 - F0(self.u[1:-1]) - 0.5 * self.eps
         return float(np.max(np.abs(res)))
 
 
-def recovery_profile(eps: float, n: int = 20001, quad_n: int = 400001) -> RecoveryProfile:
+def recovery_profile(eps: float) -> RecoveryProfile:
     """Interface profile from inverting x(u) = integral of eps/sqrt(eps+2F0).
 
-    The cumulative integral is trapezoid on a fine u-grid and the inverse is
-    sampled on a uniform x-grid of n points; rho_eps comes from the same
-    cumulative integral so the endpoint values are exact.
+    The cumulative integral is trapezoid on RECOVERY_QUAD_NODES points in u
+    and the inverse is sampled on RECOVERY_NODES uniform points in x; rho_eps
+    comes from the same cumulative integral so the endpoint values are exact.
     """
     if eps <= 0:
         raise InvalidParameterError(f"interface width must be positive, got {eps}")
-    s = np.linspace(0.0, 1.0, quad_n)
-    integrand = eps / np.sqrt(eps + 2.0 * _f0(s))
+    s = np.linspace(0.0, 1.0, RECOVERY_QUAD_NODES)
+    integrand = eps / np.sqrt(eps + 2.0 * F0(s))
     ds = s[1] - s[0]
     x_of_s = np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * ds)]
     )
     rho = float(x_of_s[-1])
-    x = np.linspace(0.0, rho, n)
+    x = np.linspace(0.0, rho, RECOVERY_NODES)
     u = np.interp(x, x_of_s, s)
     u[0], u[-1] = 0.0, 1.0
     return RecoveryProfile(eps=eps, rho_eps=rho, x=x, u=u)
@@ -135,24 +127,24 @@ def profile_box(p: Params) -> tuple[float, float]:
     return (-m1 - 1.0, beta2)
 
 
-def solver_grid(e: IntervalUnion, eps: float, pad: float = 10.0) -> Grid:
-    """Uniform grid resolving interfaces of width O(eps), padded by ``pad``
+def solver_grid(e: IntervalUnion, eps: float) -> Grid:
+    """Uniform grid resolving interfaces of width O(eps), padded by GRID_PAD
     past both ends of the set.
 
-    The nodes are those of ``Grid.for_interval(e.rightmost + pad, eps/8)``
-    (spacing at most eps/8 on [DEFAULT_X_LO, e.rightmost + pad]), continued
-    with the same spacing on the left where the set reaches further.  Nodes
-    with weight e^x below GRID_WEIGHT_TOL are dropped, except those at or
-    right of ``e.leftmost - pad``: the grid starts at the last node at or
-    left of min(ln GRID_WEIGHT_TOL, e.leftmost - pad).  Kept nodes are not
-    moved, because the energy of the recovery profile is first order in
-    node placement.
+    The nodes are those of ``Grid.for_interval(e.rightmost + GRID_PAD,
+    eps/8)`` (spacing at most eps/8 on [DEFAULT_X_LO, e.rightmost +
+    GRID_PAD]), continued with the same spacing on the left where the set
+    reaches further.  Nodes with weight e^x below GRID_WEIGHT_TOL are
+    dropped, except those at or right of ``e.leftmost - GRID_PAD``: the grid
+    starts at the last node at or left of min(ln GRID_WEIGHT_TOL,
+    e.leftmost - GRID_PAD).  Kept nodes are not moved, because the energy of
+    the recovery profile is first order in node placement.
     """
-    x_hi = e.rightmost + pad
+    x_hi = e.rightmost + GRID_PAD
     h = Grid.for_interval(x_hi, eps / 8.0).h
     start = math.log(GRID_WEIGHT_TOL)
     if math.isfinite(e.leftmost):
-        start = min(start, e.leftmost - pad)
+        start = min(start, e.leftmost - GRID_PAD)
     cells = math.ceil((x_hi - start) / h)
     if x_hi - cells * h > start:
         cells += 1
@@ -241,9 +233,9 @@ class EnergyReport:
 class DiscreteEnergy:
     """The discrete energy on a fixed grid at fixed speed and parameters.
 
-    Quadrature weights are trapezoid against e^x dx; the nonlocal part pairs
-    the profile with its finite-difference inhibitor response.  Instances
-    are immutable and safe to share across threads.
+    Quadrature is ``Grid.quadrature``, trapezoid against e^x dx; the
+    nonlocal part pairs the profile with its finite-difference inhibitor
+    response.  Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, grid: Grid, c: float, p: Params):
@@ -252,10 +244,6 @@ class DiscreteEnergy:
         self.c = c
         self.p = p
         self.op = InhibitorOperator(grid, c, p.gamma)
-        q = grid.weight * grid.h
-        q[0] *= 0.5
-        q[-1] *= 0.5
-        self.q = q
         self.box = profile_box(p)
 
     def _terms(self, values: np.ndarray):
@@ -267,10 +255,11 @@ class DiscreteEnergy:
         flux = grid.weight_mid * dw
         v = self.op.solve(values)
         report = EnergyReport(
-            gradient=0.5 * eps * grid.h * _dot(flux, dw),
-            potential=_dot(self.q, _f0(values)) / eps,
-            tilt=p.alpha * _dot(self.q, _g(values)),
-            nonlocal_term=0.5 * p.sigma * _dot(self.q, values * v),
+            # midpoint rule for e^x w'^2; einsum for the reason in weighted_dot
+            gradient=0.5 * eps * grid.h * float(np.einsum("i,i->", flux, dw)),
+            potential=weighted_dot(grid, F0(values), 1.0) / eps,
+            tilt=p.alpha * weighted_dot(grid, G(values), 1.0),
+            nonlocal_term=0.5 * p.sigma * weighted_dot(grid, values, v),
         )
         return report, flux, v
 
@@ -278,18 +267,18 @@ class DiscreteEnergy:
                   v: np.ndarray) -> np.ndarray:
         """Energy gradient of a profile, from the flux and response that
         ``_terms`` returned for it; costs one transposed solve."""
-        eps, p = self.p.epsilon, self.p
+        eps, p, q = self.p.epsilon, self.p, self.grid.quadrature
         g_grad = np.zeros_like(values)
         g_grad[:-1] -= flux
         g_grad[1:] += flux
         g_grad *= eps
 
-        g_local = -self.q * _f_eps(values, p.beta_eps) / eps
+        g_local = -q * f_eps(values, p.beta_eps) / eps
 
         adjoint = self.op.apply_boundary_coupling(
-            self.op.solve_transpose(self.q * values)
+            self.op.solve_transpose(q * values)
         )
-        g_nonlocal = 0.5 * p.sigma * (self.q * v + adjoint)
+        g_nonlocal = 0.5 * p.sigma * (q * v + adjoint)
         return g_grad + g_local + g_nonlocal
 
     def report(self, values: np.ndarray) -> EnergyReport:
@@ -301,11 +290,11 @@ class DiscreteEnergy:
 
     def d_speed(self, values: np.ndarray) -> float:
         """Speed derivative of the energy at a fixed profile.  Only the
-        nonlocal term depends on c: (sigma/2) sum q w dv/dc, with dv/dc from
-        ``InhibitorOperator.d_speed``; costs two solves."""
+        nonlocal term depends on c: (sigma/2) times the weighted pairing of w
+        with dv/dc from ``InhibitorOperator.d_speed``; costs two solves."""
         v = self.op.solve(values)
         dv = self.op.d_speed(values, v)
-        return 0.5 * self.p.sigma * _dot(self.q, values * dv)
+        return 0.5 * self.p.sigma * weighted_dot(self.grid, values, dv)
 
     def preconditioner(self, values: np.ndarray) -> np.ndarray:
         """Diagonal Hessian estimate of the stiff terms, in units of the
@@ -360,7 +349,8 @@ def minimize_energy(
     ``value_and_grad``.  On hitting the iteration cap the best iterate is
     returned with ``converged=False``.
     """
-    grid, q = engine.grid, engine.q
+    grid = engine.grid
+    q = grid.quadrature
     lo, hi = engine.box
     w = engine.project(np.asarray(init, dtype=float))
     f, g = engine.value_and_grad(w)
@@ -372,10 +362,10 @@ def minimize_energy(
     it = 0
     for it in range(1, max_iter + 1):
         d = g / q
-        d -= float(np.sum(q * d * w)) * w
+        d -= weighted_dot(grid, d, w) * w
         d[(w <= lo + 1e-12) & (d > 0.0)] = 0.0
         d[(w >= hi - 1e-12) & (d < 0.0)] = 0.0
-        grad_norm = math.sqrt(float(np.sum(q * d * d)))
+        grad_norm = math.sqrt(weighted_dot(grid, d, d))
         d /= engine.preconditioner(w)
         if grad_norm < tol:
             converged, it = True, it - 1
@@ -383,9 +373,9 @@ def minimize_energy(
         if prev_w is not None:
             s = w - prev_w
             y = d - prev_d
-            sy = float(np.sum(q * s * y))
+            sy = weighted_dot(grid, s, y)
             if sy > 0.0:
-                step = float(np.sum(q * s * s)) / sy
+                step = weighted_dot(grid, s, s) / sy
         step = min(max(step, 1e-10), 1e3)
         prev_w, prev_d = w, d
 
@@ -394,7 +384,7 @@ def minimize_energy(
         for _ in range(60):
             trial = engine.project(w - t * d)
             delta = trial - w
-            dist2 = float(np.sum(q * delta * delta))
+            dist2 = weighted_dot(grid, delta, delta)
             if dist2 == 0.0:
                 break
             trial_report, flux, v = engine._terms(trial)
@@ -519,15 +509,14 @@ class StudyResult:
 def convergence_study(
     eps_list,
     p: Params,
-    bracket_factor: float = 2.0,
     tol: float = 1e-6,
     max_iter: int = 1500,
 ) -> StudyResult:
     """Solve the finite-width speed problem along a ladder of interface
     widths and tabulate the errors against the limit speed and limit set.
 
-    The speed bracket for every width is [c_limit/bracket_factor,
-    c_limit*bracket_factor].  Error columns are flagged monotone when they
+    The speed bracket for every width is [c_limit/BRACKET_FACTOR,
+    c_limit*BRACKET_FACTOR].  Error columns are flagged monotone when they
     decrease weakly down the ladder (widths sorted descending).
 
     The default per-minimization iteration budget is far below the cap of
@@ -547,7 +536,7 @@ def convergence_study(
         grid = solver_grid(e, eps)
         init = build_recovery(e, pe, grid)
         result = speed_eps(
-            pe, c_limit / bracket_factor, c_limit * bracket_factor,
+            pe, c_limit / BRACKET_FACTOR, c_limit * BRACKET_FACTOR,
             grid, init.w.values, tol=tol, max_iter=max_iter,
         )
         err_u = l2e_norm(grid, result.profile.values - e.indicator(grid).values)

@@ -19,7 +19,3 @@ class BracketError(RuntimeError):
 
 class NonConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap without meeting tolerance."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

@@ -1,10 +1,12 @@
 """Scalar functions of the sharp-interface limit energy.
 
-Everything here is closed-form arithmetic in the decay exponents r1, r2 of
-the inhibitor equation: the normalized single-interval energy and its
-derivatives, its infinite-width (front) limit, the optimal-width condition,
-the auxiliary factor proving monotonicity in the speed, and the geometric
-energy of a union of intervals.
+The single-interval energy and its derivatives, its infinite-width (front)
+limit, the optimal-width condition and the auxiliary factor proving
+monotonicity in the speed are closed-form arithmetic in the decay exponents
+r1, r2 of the inhibitor equation.  The geometric energy of a union of
+intervals has exact perimeter and area sums; its nonlocal term is closed
+form for a single interval and a first-order finite-difference pairing for
+unions of two or more (ROADMAP item 4 is the closed form for unions).
 
 Exponentials with very negative exponents are clamped to 0 so all functions
 remain evaluable at the bracketing limits (width -> 0+ and width -> inf).
@@ -15,22 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError
 from .model import SQRT2, Params
-from .nonlocal_operator import (
-    CharRoots,
-    InhibitorOperator,
-    _exp,
-    char_roots,
-    lc_indicator,
-)
-from .weighted_space import (
-    Grid,
-    IntervalUnion,
-    total_variation_e,
-)
+from .nonlocal_operator import _exp, char_roots, lc_indicator, nonlocal_energy
+from .weighted_space import Grid, IntervalUnion, total_variation_e
+
+#: grid spacing of the finite-difference pairing of a union of intervals
+FD_RESOLUTION = 0.005
 
 
 def speed_ratio(c: float, gamma: float) -> float:
@@ -186,17 +179,18 @@ class LimitEnergyBreakdown:
 
 
 def sharp_interface_energy(
-    e: IntervalUnion,
-    c: float,
-    p: Params,
-    fd_resolution: float = 0.005,
+    e: IntervalUnion, c: float, p: Params
 ) -> LimitEnergyBreakdown:
     """Geometric limit energy of an interval union at speed c.
 
     Perimeter and area terms are exact sums of endpoint weights.  The
-    nonlocal term uses the closed form for a single interval and the
-    finite-difference inhibitor solve (spacing ``fd_resolution``) for
-    genuine unions, where no closed form is available.
+    nonlocal term is closed form for a single interval.  For a union of two
+    or more intervals it pairs the sampled indicator with its
+    finite-difference inhibitor response (spacing at most FD_RESOLUTION).
+    That pairing is first-order accurate, because the indicator is sampled
+    at the nodes: on the benchmark's seeded 2-4-interval unions it was up to
+    13% off the exact Green's-function value.  A closed form for unions is
+    ROADMAP item 4.
     """
     perimeter = (SQRT2 / 12.0) * total_variation_e(e)
     area = -(SQRT2 * p.alpha / 12.0) * e.l1e_norm
@@ -207,23 +201,18 @@ def sharp_interface_energy(
         sol = lc_indicator(ell, c, p.gamma)
         nonlocal_term = (p.sigma / 2.0) * math.exp(b) * sol.integral_over_support()
     else:
-        nonlocal_term = (p.sigma / 2.0) * _nonlocal_pairing_fd(e, c, p, fd_resolution)
+        nonlocal_term = (p.sigma / 2.0) * _nonlocal_pairing_fd(e, c, p)
     return LimitEnergyBreakdown(
         perimeter_term=perimeter, area_term=area, nonlocal_term=nonlocal_term
     )
 
 
-def _nonlocal_pairing_fd(
-    e: IntervalUnion, c: float, p: Params, resolution: float
-) -> float:
+def _nonlocal_pairing_fd(e: IntervalUnion, c: float, p: Params) -> float:
     """Weighted self-pairing of an indicator with its inhibitor response via
     the finite-difference solve."""
     roots = char_roots(c, p.gamma)
-    h = min(resolution, 0.4 / max(-roots.r1, roots.r2))
+    h = min(FD_RESOLUTION, 0.4 / max(-roots.r1, roots.r2))
     left = e.leftmost
     x_lo = -34.0 if math.isinf(left) else min(-34.0, left - 10.0)
     grid = Grid.for_interval(e.rightmost + 10.0, h, x_lo=x_lo)
-    chi = e.indicator(grid)
-    op = InhibitorOperator(grid, c, p.gamma)
-    v = op.solve(chi.values)
-    return float(np.trapezoid(grid.weight * chi.values * v, dx=grid.h))
+    return nonlocal_energy(e.indicator(grid), c, p.gamma)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
-
 from .errors import InvalidParameterError, RegimeError
 
 SQRT2 = math.sqrt(2.0)
@@ -119,34 +117,41 @@ class PotentialValues:
     phi: float
 
 
+def f_eps(u, beta):
+    """Cubic nonlinearity -u (u - beta) (u - 1), vectorized; at
+    beta = Params.beta_eps it is minus the derivative of F0 + alpha eps G."""
+    return -u * (u - beta) * (u - 1.0)
+
+
+def F0(u):
+    """Balanced double well u^2 (1 - u)^2 / 4, vectorized."""
+    return 0.25 * u * u * (1.0 - u) ** 2
+
+
+def G(u):
+    """Tilt potential (u^3/3 - u^2/2) / sqrt(2), vectorized."""
+    return (u * u * u / 3.0 - 0.5 * u * u) / SQRT2
+
+
 def _phi(u: float) -> float:
-    """Interface-cost primitive: integral of sqrt(2 F0) from 0 to u.
+    """Interface-cost primitive: integral of sqrt(2 F0) = |G'| from 0 to u.
 
-    Closed form (u^2/2 - u^3/3)/sqrt(2) on [0, 1]; adaptive quadrature for
-    the (rarely used) range outside.
+    G' = u (u - 1) / sqrt(2) is negative on (0, 1) and positive outside, so
+    phi is -G on [0, 1], G below 0, and G - 2 G(1) = G + sqrt(2)/6 above 1.
     """
-    if 0.0 <= u <= 1.0:
-        return (0.5 * u * u - u**3 / 3.0) / SQRT2
-
-    def integrand(s):
-        return abs(s * (s - 1.0)) / SQRT2
-
-    if u > 1.0:
-        tail, _ = quad(integrand, 1.0, u)
-        return SQRT2 / 12.0 + tail
-    tail, _ = quad(integrand, u, 0.0)
-    return -tail
+    if u < 0.0:
+        return G(u)
+    if u <= 1.0:
+        return -G(u)
+    return G(u) + SQRT2 / 6.0
 
 
 def potentials(u: float, p: Params) -> PotentialValues:
     """Evaluate the cubic, the balanced double well F0, the tilt G, the full
     potential F_eps = F0 + alpha*epsilon*G, and the primitive phi at u."""
-    beta = p.beta_eps
-    f_eps = -u * (u - beta) * (u - 1.0)
-    f0 = 0.25 * u * u * (u - 1.0) ** 2
-    g = (u**3 / 3.0 - 0.5 * u * u) / SQRT2
+    f0, g = F0(u), G(u)
     return PotentialValues(
-        f_eps=f_eps,
+        f_eps=f_eps(u, p.beta_eps),
         F0=f0,
         G=g,
         F_eps=f0 + p.alpha * p.epsilon * g,
@@ -185,16 +190,12 @@ def box_constants(p: Params) -> tuple[float, float]:
     beta2 = 1.01
     beta = p.beta_eps
     target = beta2 / p.gamma
-
-    def f_at_minus(m):
-        return m * (m + beta) * (m + 1.0)
-
     lo, hi = 0.0, 1.0
-    while f_at_minus(hi) < target:
+    while f_eps(-hi, beta) < target:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f_at_minus(mid) < target:
+        if f_eps(-mid, beta) < target:
             lo = mid
         else:
             hi = mid

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import GridError, InvalidParameterError, NonConvergenceError
-from .weighted_space import Grid, SampledFunction
+from .weighted_space import Grid, SampledFunction, weighted_dot
 
 
 @dataclass(frozen=True)
@@ -309,4 +309,4 @@ def nonlocal_energy(w: SampledFunction, c: float, gamma: float) -> float:
     """Weighted pairing of a profile with its inhibitor response,
     integral of e^x w (L_c w) dx; nonnegative up to discretization error."""
     v = lc_solve_fd(w, c, gamma)
-    return float(np.trapezoid(w.grid.weight * w.values * v.values, dx=w.grid.h))
+    return weighted_dot(w.grid, w.values, v.values)

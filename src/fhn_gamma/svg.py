@@ -1,9 +1,9 @@
 """Minimal static SVG line plots.
 
 Only what the command-line tool needs: one axes box, a few polyline series
-with automatic ranges and ticks, optional log-scaled y.  Writing our own
-keeps plotting out of the dependency footprint; the outputs are simple
-figure analogues, not an interactive surface.
+with automatic ranges and ticks.  Writing our own keeps plotting out of the
+dependency footprint; the outputs are simple figure analogues, not an
+interactive surface.
 """
 
 from __future__ import annotations
@@ -52,13 +52,11 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    logy: bool = False,
 ) -> None:
     """Write a line plot to an SVG file.
 
     series is a sequence of (label, xs, ys) triples; ranges and ticks are
-    automatic.  With logy=True the y values must be positive and the axis
-    is base-10 logarithmic.
+    automatic.
     """
     if not series:
         raise InvalidParameterError("nothing to plot")
@@ -68,12 +66,6 @@ def line_plot(
         ys = [float(v) for v in ys]
         if len(xs) != len(ys) or not xs:
             raise InvalidParameterError(f"series {label!r}: mismatched or empty data")
-        if logy:
-            if min(ys) <= 0:
-                raise InvalidParameterError(
-                    f"series {label!r}: log scale needs positive values"
-                )
-            ys = [math.log10(v) for v in ys]
         cleaned.append((label, xs, ys))
 
     x_lo = min(min(xs) for _, xs, _ in cleaned)
@@ -120,14 +112,13 @@ def line_plot(
         )
     for t in _ticks(y_lo, y_hi):
         y = sy(t)
-        label = _fmt(10.0**t) if logy else _fmt(t)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
             f'y2="{y:.1f}" stroke="black"/>'
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '
-            f'text-anchor="end">{label}</text>'
+            f'text-anchor="end">{_fmt(t)}</text>'
         )
     if xlabel:
         parts.append(

@@ -192,5 +192,5 @@ def test_sharp_interface_energy_union_fd_consistency():
     closed = sharp_interface_energy(e, c, PULSE).nonlocal_term
     from fhn_gamma.limit_energy import _nonlocal_pairing_fd
 
-    fd = 0.5 * PULSE.sigma * _nonlocal_pairing_fd(e, c, PULSE, 0.005)
+    fd = 0.5 * PULSE.sigma * _nonlocal_pairing_fd(e, c, PULSE)
     assert fd == pytest.approx(closed, rel=1e-4)

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from scipy.integrate import quad
 
+import fhn_gamma
 from fhn_gamma.errors import InvalidParameterError, RegimeError
 from fhn_gamma.model import (
     SQRT2,
@@ -101,6 +107,23 @@ def test_phi_outside_unit_interval_is_monotone_continuation():
     p = Params(2.0, 1.0, 1.0)
     assert potentials(-0.2, p).phi < 0.0
     assert potentials(1.2, p).phi > potentials(1.0, p).phi
+    # phi is the integral of sqrt(2 F0) from 0, on both sides of [0, 1]
+    def sqrt_2f0(s):
+        return math.sqrt(2.0 * potentials(s, p).F0)
+
+    for u in (-2.0, -0.2, 0.3, 1.0, 1.2, 3.0):
+        breaks = [0.0, 1.0, u] if u > 1.0 else [0.0, u]
+        ref = sum(quad(sqrt_2f0, a, b)[0] for a, b in zip(breaks, breaks[1:]))
+        assert potentials(u, p).phi == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # a fresh interpreter, because this test module imports scipy.integrate
+    src = str(Path(fhn_gamma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fhn_gamma; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_gamma_star_oracle_and_limit():

@@ -1,0 +1,23 @@
+"""README's Python quick start prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_prints_its_trailing_comments():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    expected = []
+    for line in block.splitlines():
+        if line.startswith("print("):
+            code, sep, comment = line.partition("# ")
+            assert sep, f"print without a trailing comment: {line!r}"
+            expected.append(comment.strip())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -18,14 +18,6 @@ def test_line_plot_writes_valid_xml(tmp_path):
     assert len(polylines) == 2
 
 
-def test_line_plot_log_scale(tmp_path):
-    path = tmp_path / "log.svg"
-    line_plot(path, [("err", [1, 2, 3], [1e-1, 1e-2, 1e-3])], logy=True)
-    assert path.stat().st_size > 0
-    with pytest.raises(InvalidParameterError):
-        line_plot(path, [("bad", [1, 2], [0.0, 1.0])], logy=True)
-
-
 def test_line_plot_rejects_empty_and_mismatched(tmp_path):
     path = tmp_path / "x.svg"
     with pytest.raises(InvalidParameterError):

@@ -5,6 +5,7 @@ import pytest
 
 from fhn_gamma.errors import GridError, InvalidParameterError
 from fhn_gamma.weighted_space import (
+    MAX_INTERVALS,
     Grid,
     IntervalUnion,
     SampledFunction,
@@ -20,6 +21,11 @@ def test_grid_basics():
     assert g.h == pytest.approx(0.01)
     assert g.x[0] == -2.0 and g.x[-1] == 2.0
     assert np.allclose(g.weight, np.exp(g.x))
+    # trapezoid weights against e^x, shared read-only by every user
+    assert g.quadrature.sum() == pytest.approx(
+        np.trapezoid(g.weight, dx=g.h), rel=1e-14)
+    with pytest.raises(ValueError):
+        g.quadrature[0] = 0.0
     with pytest.raises(GridError):
         Grid(1.0, 0.0, 10)
     with pytest.raises(GridError):
@@ -110,6 +116,10 @@ def test_interval_union_validation():
         IntervalUnion(((-math.inf, 0.0), (-5.0, -3.0)))  # -inf not last
     with pytest.raises(InvalidParameterError):
         IntervalUnion(((0.0, math.inf),))
+    many = tuple((-2.0 * k - 1.0, -2.0 * k) for k in range(MAX_INTERVALS + 1))
+    IntervalUnion(many[:MAX_INTERVALS])
+    with pytest.raises(InvalidParameterError):
+        IntervalUnion(many)
 
 
 def test_interval_union_measure_and_endpoints():
