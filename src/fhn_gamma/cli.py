@@ -364,7 +364,8 @@ def _cmd_speed_eps(opts):
         "c_eps": result.c_eps,
         "value": result.value,
         "iterations": result.iterations,
-        "minimizations": len(result.steps),
+        "minimizations": sum(not step.certified for step in result.steps),
+        "c_hi_certified": any(step.certified for step in result.steps),
         "converged": result.converged,
         "c_limit": c_limit,
     }

@@ -408,13 +408,19 @@ def minimize_energy(
 class SpeedStep:
     """One minimization of the speed solve: the speed, the minimum value
     reached, its slope dm/dc = dE/dc at that profile, and the minimizer's
-    iteration count and convergence flag."""
+    iteration count and convergence flag.
+
+    A ``certified`` step is no minimization but the check that proves the
+    bracket's right end: its value is the energy at c of the previous
+    minimizer, an upper bound on m(c), with that profile's dE/dc as slope,
+    0 iterations and ``converged`` False."""
 
     c: float
     value: float
     slope: float
     iterations: int
     converged: bool
+    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -425,7 +431,8 @@ class SpeedResult:
     report: EnergyReport
     iterations: int
     converged: bool
-    #: one entry per minimization, in evaluation order
+    #: one entry per minimization or certified bracket end, in evaluation
+    #: order
     steps: tuple[SpeedStep, ...]
 
 
@@ -442,16 +449,20 @@ def speed_eps(
 
     The minimum energy m(c) decreases strictly in the speed, and by the
     envelope identity its slope is the energy's speed derivative at the
-    minimizer, dm/dc = dE/dc(w*, c).  After minimizations at both bracket
-    ends, which must straddle a sign change, safeguarded Newton
-    (``wave_speeds._newton_root``) starts from c_lo, where m is positive.
+    minimizer, dm/dc = dE/dc(w*, c).  The bracket ends must straddle a
+    sign change.  After the minimization at c_lo, the minimizer's energy
+    at c_hi is evaluated: every admissible profile's energy bounds m(c_hi)
+    from above, so if m(c_lo) > 0 and that energy is negative the bracket
+    is proven and c_hi is not minimized (a ``certified`` step); otherwise
+    c_hi is minimized too.  Safeguarded Newton (``wave_speeds._newton_root``)
+    then starts from c_lo, where m is positive.
     On the pulse, m is convex there, so exact Newton steps approach the
     root from below; a step that the capped minimizations carry past it
     only moves the bracket.  The solve stops once |m| is at most
     SPEED_VALUE_TOL or a Newton step is at most SPEED_BRACKET_TOL
     relative.  Minimizations warm-start from the previous minimizer.
-    Returns the evaluated speed with the smallest |m|, and every
-    minimization in ``steps``.
+    Returns the minimized speed with the smallest |m|, and every
+    minimization and certified end in ``steps``.
     """
     if not 0.0 < c_lo < c_hi:
         raise BracketError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
@@ -471,12 +482,26 @@ def speed_eps(
             best = (c, res)
         return res.value, slope, res
 
+    def certify(c: float):
+        """The warm profile's energy at c, recorded as a certified step, if
+        it is negative, else None; costs one factorization and three
+        solves."""
+        engine = DiscreteEnergy(grid, c, p)
+        bound = engine.report(warm).total
+        if not bound < 0.0:
+            return None
+        steps.append(SpeedStep(c, bound, engine.d_speed(warm), 0, False,
+                               certified=True))
+        return bound
+
     f_lo = minimum(c_lo)
-    f_hi = minimum(c_hi)
-    if not f_lo[0] > 0.0 > f_hi[0]:
+    m_hi = certify(c_hi) if f_lo[0] > 0.0 else None
+    if m_hi is None:
+        m_hi = minimum(c_hi)[0]
+    if not f_lo[0] > 0.0 > m_hi:
         raise BracketError(
             f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
-            f"m({c_lo})={f_lo[0]}, m({c_hi})={f_hi[0]}"
+            f"m({c_lo})={f_lo[0]}, m({c_hi})={m_hi}"
         )
     _newton_root(minimum, c_lo, c_hi, c_lo, f_lo,
                  xtol=SPEED_BRACKET_TOL, ftol=SPEED_VALUE_TOL)

@@ -148,7 +148,8 @@ def test_bad_range_syntax(capsys):
     assert code == 2
 
 
-def test_speed_eps_short_budget_reports_nonconvergence(capsys, monkeypatch):
+def test_speed_eps_short_budget_reports_nonconvergence(
+        capsys, monkeypatch, minimized_speeds):
     calls = []
     pulse_speed = wave_speeds.pulse_speed
 
@@ -164,9 +165,27 @@ def test_speed_eps_short_budget_reports_nonconvergence(capsys, monkeypatch):
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is False
     assert len(calls) == 1
-    # the two bracket ends and at least one Newton step, each capped at 20
-    assert summary["minimizations"] >= 3
-    assert summary["iterations"] <= 20 * summary["minimizations"]
+    # 20 iterations leave the c_lo profile's energy at c_hi positive, so
+    # c_hi is not certified but minimized; then at least one Newton step,
+    # every minimization stopping at the cap of 20
+    assert summary["c_hi_certified"] is False
+    assert minimized_speeds[:2] == [2.1169, 2.5614] and len(minimized_speeds) >= 3
+    assert summary["minimizations"] == len(minimized_speeds)
+    assert summary["iterations"] == 20 * summary["minimizations"]
+
+
+def test_speed_eps_certifies_the_right_end(capsys, minimized_speeds):
+    code = run(["speed-eps", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+                "--epsilon", "0.04", "--c-lo", "2.1169", "--c-hi", "2.5614",
+                "--max-iter", "300"])
+    assert code in (0, 3)
+    summary = json.loads(capsys.readouterr().out)
+    # c_lo minimized, c_hi certified and never minimized, then Newton steps
+    assert summary["c_hi_certified"] is True
+    assert minimized_speeds[0] == 2.1169 and 2.5614 not in minimized_speeds
+    assert len(minimized_speeds) >= 2
+    assert summary["minimizations"] == len(minimized_speeds)
+    assert summary["iterations"] <= 300 * summary["minimizations"]
 
 
 @pytest.mark.parametrize("argv", [

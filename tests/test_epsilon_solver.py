@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fhn_gamma import epsilon_solver
 from fhn_gamma.epsilon_solver import (
@@ -207,17 +208,33 @@ def test_speed_eps_degenerate_bracket():
         speed_eps(FRONT, 1.0, 1.0, grid, np.zeros(grid.n))
 
 
-def test_speed_eps_no_sign_change_reports_endpoints():
+def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):
     # at front parameters and eps = 0.04 the minimum energy is negative on
-    # the whole bracket, which must surface as a bracket error carrying
-    # both endpoint values
+    # the whole bracket: with m(c_lo) < 0 no certificate is tried, both
+    # ends are minimized, and the bracket error carries both minima
     eps = 0.04
     grid = solver_grid(HALF_LINE, eps)
     init = build_recovery(HALF_LINE, FRONT, grid)
     c_f = front_speed(Params(5.0, 1.0, 1.0)).c_f
-    with pytest.raises(BracketError, match="no sign change"):
-        speed_eps(FRONT, 0.5 * c_f, 2.0 * c_f, grid, init.w.values,
-                  max_iter=800)
+    minima = []
+    minimize = epsilon_solver.minimize_energy
+
+    def recorded(engine, *args, **kwargs):
+        res = minimize(engine, *args, **kwargs)
+        minima.append((engine.c, res.value))
+        return res
+
+    monkeypatch.setattr(epsilon_solver, "minimize_energy", recorded)
+    c_lo, c_hi = 0.5 * c_f, 2.0 * c_f
+    with pytest.raises(BracketError) as info:
+        speed_eps(FRONT, c_lo, c_hi, grid, init.w.values, max_iter=800)
+    assert [c for c, _ in minima] == [c_lo, c_hi]
+    (_, m_lo), (_, m_hi) = minima
+    assert m_hi < m_lo < 0.0
+    assert str(info.value) == (
+        f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
+        f"m({c_lo})={m_lo}, m({c_hi})={m_hi}"
+    )
 
 
 def test_value_only_trials_match_full_evaluations(monkeypatch):
@@ -303,35 +320,97 @@ def test_energy_speed_derivative_matches_central_difference():
 
 
 #: minimizations of the bisection that the Newton speed solve replaced, on
-#: the pulse (2, 1, 1) at eps = 0.04 with 300 iterations per minimization
-_BISECTION_MINIMIZATIONS = {1.1: 5, 2.0: 9}
+#: the pulse (2, 1, 1) at eps = 0.04 with 300 iterations per minimization,
+#: were 5 and 9; Newton with a certified right end needs at most these
+_SPEED_MINIMIZATIONS = {1.1: 2, 2.0: 4}
 
 
-@pytest.mark.parametrize("factor", sorted(_BISECTION_MINIMIZATIONS))
+@pytest.mark.parametrize("factor", sorted(_SPEED_MINIMIZATIONS))
 def test_speed_newton_needs_no_more_minimizations_than_bisection(
-        factor, monkeypatch):
+        factor, minimized_speeds):
     eps = 0.04
     p = Params(2.0, 1.0, 1.0, eps)
     pulse = pulse_speed(Params(2.0, 1.0, 1.0))
     grid = solver_grid(pulse.limit_set, eps)
     init = build_recovery(pulse.limit_set, p, grid)
-    calls = []
-    minimize = epsilon_solver.minimize_energy
-
-    def counted(engine, *args, **kwargs):
-        calls.append(engine.c)
-        return minimize(engine, *args, **kwargs)
-
-    monkeypatch.setattr(epsilon_solver, "minimize_energy", counted)
     c_lo, c_hi = pulse.c_p / factor, pulse.c_p * factor
     res = speed_eps(p, c_lo, c_hi, grid, init.w.values, max_iter=300)
-    assert len(calls) <= _BISECTION_MINIMIZATIONS[factor]
+    assert len(minimized_speeds) <= _SPEED_MINIMIZATIONS[factor]
     assert abs(res.value) < SPEED_VALUE_TOL
     assert c_lo < res.c_eps < c_hi
-    # one step per minimization, in evaluation order, the ends first
-    assert [step.c for step in res.steps] == calls
-    assert calls[:2] == [c_lo, c_hi]
+    # c_lo minimized, c_hi certified without a minimization, then one step
+    # per Newton minimization, in evaluation order
+    first, end, *newton = res.steps
+    assert (first.c, first.certified) == (c_lo, False)
+    assert (end.c, end.certified, end.iterations) == (c_hi, True, 0)
+    assert end.value < 0.0
+    assert newton and not any(step.certified for step in newton)
+    assert [step.c for step in [first, *newton]] == minimized_speeds
     assert res.iterations == sum(step.iterations for step in res.steps)
-    best = min(res.steps, key=lambda step: abs(step.value))
+    best = min([first, *newton], key=lambda step: abs(step.value))
     assert (best.c, best.value) == (res.c_eps, res.value)
     assert all(step.slope < 0.0 for step in res.steps)
+
+
+@pytest.fixture(scope="module")
+def pulse_bracket():
+    """The pulse (2, 1, 1) at eps = 0.04: parameters, grid, recovery start,
+    c_lo = c_p / 1.1, the 300-iteration minimizer at c_lo that speed_eps
+    warm-starts from, and the speed c_star at which that minimizer's
+    energy vanishes."""
+    eps = 0.04
+    p = Params(2.0, 1.0, 1.0, eps)
+    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
+    grid = solver_grid(pulse.limit_set, eps)
+    init = build_recovery(pulse.limit_set, p, grid).w.values
+    c_lo = pulse.c_p / 1.1
+    w_lo = minimize_energy(DiscreteEnergy(grid, c_lo, p), init,
+                           max_iter=300).profile.values
+    c_star = brentq(lambda c: DiscreteEnergy(grid, c, p).report(w_lo).total,
+                    c_lo, 1.1 * pulse.c_p, xtol=1e-12)
+    return p, grid, init, c_lo, w_lo, c_star
+
+
+def test_speed_certificate_is_an_upper_bound(pulse_bracket):
+    p, grid, init, c_lo, w_lo, _ = pulse_bracket
+    c_hi = 1.21 * c_lo  # 1.1 c_p, the benchmark's right end
+    res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
+    end = res.steps[1]
+    assert end.certified and end.c == c_hi
+    engine = DiscreteEnergy(grid, c_hi, p)
+    assert end.value == engine.report(w_lo).total < 0.0
+    assert end.slope == engine.d_speed(w_lo)
+    minimized = minimize_energy(engine, w_lo, max_iter=300)
+    assert minimized.value <= end.value
+
+
+def test_speed_certified_step_is_never_best(pulse_bracket):
+    # just right of c_star the certificate is a tiny negative energy, far
+    # smaller in magnitude than the first Newton minimum, where the solve
+    # stops; the result must still be that minimum
+    p, grid, init, c_lo, _, c_star = pulse_bracket
+    c_hi = c_star * (1.0 + 1e-4)
+    res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
+    first, end, *newton = res.steps
+    assert end.certified and end.c == c_hi
+    assert len(newton) == 1 and not newton[0].certified
+    assert abs(end.value) < abs(newton[0].value) < SPEED_VALUE_TOL
+    assert (res.c_eps, res.value) == (newton[0].c, newton[0].value)
+    assert res.converged == newton[0].converged
+
+
+def test_speed_uncertified_end_is_minimized(pulse_bracket,
+                                            minimized_speeds):
+    # just left of c_star the c_lo minimizer's energy is positive, so c_hi
+    # is minimized from that minimizer, as before certificates existed
+    p, grid, init, c_lo, w_lo, c_star = pulse_bracket
+    c_hi = c_star * (1.0 - 1e-3)
+    assert DiscreteEnergy(grid, c_hi, p).report(w_lo).total >= 0.0
+    res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
+    assert minimized_speeds[:2] == [c_lo, c_hi]
+    assert not any(step.certified for step in res.steps)
+    end = res.steps[1]
+    assert end.iterations > 0
+    assert end.value == minimize_energy(DiscreteEnergy(grid, c_hi, p), w_lo,
+                                        max_iter=300).value < 0.0
+
