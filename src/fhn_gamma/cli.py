@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 from . import svg
 from .epsilon_solver import (
@@ -69,10 +70,6 @@ def _range_values(text: str) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _parse_set(text: str) -> IntervalUnion:
-    return IntervalUnion.from_json(text)
-
-
 def _parse_eps_list(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -106,69 +103,18 @@ def load_config(path: str) -> dict:
     return out
 
 
-#: per-subcommand option tables: flag name -> (type, default, help)
+#: default of an option without one: the command fails unless it is given
+_REQUIRED = object()
+
+#: option tables: flag name -> (type, default or _REQUIRED, help)
 _PARAM_OPTS = {
-    "alpha": (float, None, "driving force toward the excited state"),
-    "gamma": (float, None, "inhibitor decay rate"),
-    "sigma": (float, None, "inhibition strength"),
+    "alpha": (float, _REQUIRED, "driving force toward the excited state"),
+    "gamma": (float, _REQUIRED, "inhibitor decay rate"),
+    "sigma": (float, _REQUIRED, "inhibition strength"),
 }
-_EPS_OPT = {"epsilon": (float, None, "interface width")}
+_EPS_OPT = {"epsilon": (float, _REQUIRED, "interface width")}
 _OUT_OPT = {"output": (str, None, "output file (default: stdout)")}
 _SVG_OPT = {"svg": (str, None, "also write a line plot to this SVG file")}
-
-_COMMANDS: dict[str, dict] = {
-    "classify": {**_PARAM_OPTS},
-    "front-speed": {**_PARAM_OPTS, **_OUT_OPT},
-    "pulse-speed": {**_PARAM_OPTS, **_OUT_OPT},
-    "limit-energy": {
-        **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
-        "c": (float, None, "wave speed"),
-        "ell_grid": (str, "0.1:10:200", "width grid as lo:hi:n"),
-    },
-    "lc-apply": {
-        **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
-        "c": (float, None, "wave speed"),
-        "input": (str, None, "profile CSV (columns x,value)"),
-    },
-    "recovery": {
-        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT, **_SVG_OPT,
-        "set": (str, '[["-inf", 0.0]]', "interval union as JSON"),
-    },
-    "minimize": {
-        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT, **_SVG_OPT,
-        "c": (float, None, "wave speed"),
-        "set": (str, None, "initial set as JSON (default: regime limit set)"),
-        "max_iter": (int, 10000, "iteration cap"),
-        "tol": (float, 1e-6, "projected-gradient tolerance"),
-    },
-    "speed-eps": {
-        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT,
-        "c_lo": (float, None, "bracket lower end (default: half limit speed)"),
-        "c_hi": (float, None, "bracket upper end (default: twice limit speed)"),
-        "max_iter": (int, 1500, "iteration cap per minimization"),
-        "profile_output": (str, None, "write the final profile CSV here"),
-    },
-    "study": {
-        **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
-        "eps_list": (str, "0.04,0.02,0.01", "comma-separated widths"),
-        "max_iter": (int, 1500, "iteration cap per minimization"),
-    },
-    "sweep": {
-        **_OUT_OPT,
-        "alpha_range": (str, None, "alpha values as lo:hi:n"),
-        "gamma_range": (str, "1:1:1", "gamma values as lo:hi:n"),
-        "sigma_range": (str, "1:1:1", "sigma values as lo:hi:n"),
-    },
-}
-
-_REQUIRED = {
-    "limit-energy": ("c",),
-    "lc-apply": ("c", "input"),
-    "recovery": ("epsilon",),
-    "minimize": ("c", "epsilon"),
-    "speed-eps": ("epsilon",),
-    "sweep": ("alpha_range",),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "activator-inhibitor system and its sharp-interface limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, opts in _COMMANDS.items():
+    for name, (_handler, opts) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=argparse.SUPPRESS,
                         help="config file (key=value lines or JSON)")
@@ -191,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config file and explicit flags, in that order."""
-    opts_spec = _COMMANDS[args.command]
+    opts_spec = _COMMANDS[args.command][1]
     merged = {key: default for key, (_t, default, _h) in opts_spec.items()}
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -205,28 +151,24 @@ def resolve_options(args: argparse.Namespace) -> dict:
             typ = opts_spec[key][0]
             try:
                 merged[key] = typ(value)
-            except ValueError:
+            except (TypeError, ValueError):
                 raise InvalidParameterError(
                     f"config key {key!r}: cannot parse {value!r}"
                 ) from None
     for key in opts_spec:
         if hasattr(args, key):
             merged[key] = getattr(args, key)
-    for key in _REQUIRED.get(args.command, ()):
-        if merged.get(key) is None:
+    for key, value in merged.items():
+        if value is _REQUIRED:
             raise InvalidParameterError(
                 f"{args.command}: --{key.replace('_', '-')} is required"
             )
     return merged
 
 
-def _params(opts: dict, with_eps: bool = False) -> Params:
-    for key in ("alpha", "gamma", "sigma"):
-        if opts.get(key) is None:
-            raise InvalidParameterError(f"--{key} is required")
-    eps = opts.get("epsilon") if with_eps else None
+def _params(opts: dict) -> Params:
     return Params(opts["alpha"], opts["gamma"], opts["sigma"],
-                  0.0 if eps is None else eps)
+                  opts.get("epsilon", 0.0))
 
 
 def _emit_text(text: str, path) -> None:
@@ -253,14 +195,8 @@ def _cmd_classify(opts):
     return EXIT_OK
 
 
-def _cmd_front_speed(opts):
-    result = front_speed(_params(opts))
-    _emit_text(json.dumps(result.to_dict(), indent=2) + "\n", opts["output"])
-    return EXIT_OK
-
-
-def _cmd_pulse_speed(opts):
-    result = pulse_speed(_params(opts))
+def _cmd_speed(solver, opts):
+    result = solver(_params(opts))
     _emit_text(json.dumps(result.to_dict(), indent=2) + "\n", opts["output"])
     return EXIT_OK
 
@@ -302,8 +238,8 @@ def _cmd_lc_apply(opts):
 
 
 def _cmd_recovery(opts):
-    p = _params(opts, with_eps=True)
-    e = _parse_set(opts["set"])
+    p = _params(opts)
+    e = IntervalUnion.from_json(opts["set"])
     grid = solver_grid(e, p.epsilon)
     profile = build_recovery(e, p, grid)
     text = _csv_text(("x", "value"), zip(grid.x, profile.w.values))
@@ -318,8 +254,9 @@ def _cmd_recovery(opts):
 
 
 def _cmd_minimize(opts):
-    p = _params(opts, with_eps=True)
-    e = _parse_set(opts["set"]) if opts["set"] else limit_speed(p).limit_set
+    p = _params(opts)
+    e = (IntervalUnion.from_json(opts["set"]) if opts["set"]
+         else limit_speed(p).limit_set)
     grid = solver_grid(e, p.epsilon)
     init = build_recovery(e, p, grid)
     engine = DiscreteEnergy(grid, opts["c"], p)
@@ -350,7 +287,7 @@ def _cmd_minimize(opts):
 
 
 def _cmd_speed_eps(opts):
-    p = _params(opts, with_eps=True)
+    p = _params(opts)
     limit = limit_speed(p)
     c_limit = limit.to_dict()["c"]
     c_lo = opts["c_lo"] if opts["c_lo"] is not None else c_limit / BRACKET_FACTOR
@@ -423,17 +360,50 @@ def _cmd_sweep(opts):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "front-speed": _cmd_front_speed,
-    "pulse-speed": _cmd_pulse_speed,
-    "limit-energy": _cmd_limit_energy,
-    "lc-apply": _cmd_lc_apply,
-    "recovery": _cmd_recovery,
-    "minimize": _cmd_minimize,
-    "speed-eps": _cmd_speed_eps,
-    "study": _cmd_study,
-    "sweep": _cmd_sweep,
+#: subcommand -> (handler, option table)
+_COMMANDS: dict[str, tuple] = {
+    "classify": (_cmd_classify, {**_PARAM_OPTS}),
+    "front-speed": (partial(_cmd_speed, front_speed), {**_PARAM_OPTS, **_OUT_OPT}),
+    "pulse-speed": (partial(_cmd_speed, pulse_speed), {**_PARAM_OPTS, **_OUT_OPT}),
+    "limit-energy": (_cmd_limit_energy, {
+        **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
+        "c": (float, _REQUIRED, "wave speed"),
+        "ell_grid": (str, "0.1:10:200", "width grid as lo:hi:n"),
+    }),
+    "lc-apply": (_cmd_lc_apply, {
+        **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
+        "c": (float, _REQUIRED, "wave speed"),
+        "input": (str, _REQUIRED, "profile CSV (columns x,value)"),
+    }),
+    "recovery": (_cmd_recovery, {
+        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT, **_SVG_OPT,
+        "set": (str, '[["-inf", 0.0]]', "interval union as JSON"),
+    }),
+    "minimize": (_cmd_minimize, {
+        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT, **_SVG_OPT,
+        "c": (float, _REQUIRED, "wave speed"),
+        "set": (str, None, "initial set as JSON (default: regime limit set)"),
+        "max_iter": (int, 10000, "iteration cap"),
+        "tol": (float, 1e-6, "projected-gradient tolerance"),
+    }),
+    "speed-eps": (_cmd_speed_eps, {
+        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT,
+        "c_lo": (float, None, "bracket lower end (default: half limit speed)"),
+        "c_hi": (float, None, "bracket upper end (default: twice limit speed)"),
+        "max_iter": (int, 1500, "iteration cap per minimization"),
+        "profile_output": (str, None, "write the final profile CSV here"),
+    }),
+    "study": (_cmd_study, {
+        **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
+        "eps_list": (str, "0.04,0.02,0.01", "comma-separated widths"),
+        "max_iter": (int, 1500, "iteration cap per minimization"),
+    }),
+    "sweep": (_cmd_sweep, {
+        **_OUT_OPT,
+        "alpha_range": (str, _REQUIRED, "alpha values as lo:hi:n"),
+        "gamma_range": (str, "1:1:1", "gamma values as lo:hi:n"),
+        "sigma_range": (str, "1:1:1", "sigma values as lo:hi:n"),
+    }),
 }
 
 
@@ -441,7 +411,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = resolve_options(args)
-        return _HANDLERS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except (InvalidParameterError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

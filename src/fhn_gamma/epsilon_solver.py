@@ -36,6 +36,8 @@ from .weighted_space import (
 SPEED_VALUE_TOL = 5e-4
 #: or once its Newton step (or bracket) is this small relative to max(1, c)
 SPEED_BRACKET_TOL = 1e-6
+#: gradient-norm tolerance of every minimization inside the speed solve
+SPEED_GRAD_TOL = 1e-6
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
 #: solver grids reach this far past both ends of the set
@@ -275,10 +277,7 @@ class DiscreteEnergy:
 
         g_local = -q * f_eps(values, p.beta_eps) / eps
 
-        adjoint = self.op.apply_boundary_coupling(
-            self.op.solve_transpose(q * values)
-        )
-        g_nonlocal = 0.5 * p.sigma * (q * v + adjoint)
+        g_nonlocal = 0.5 * p.sigma * (q * v + self.op.solve_transpose(q * values))
         return g_grad + g_local + g_nonlocal
 
     def report(self, values: np.ndarray) -> EnergyReport:
@@ -298,9 +297,11 @@ class DiscreteEnergy:
 
     def preconditioner(self, values: np.ndarray) -> np.ndarray:
         """Diagonal Hessian estimate of the stiff terms, in units of the
-        quadrature weight.  Dividing the gradient by it equalizes the step
-        scales of the interface (eps/h^2) and well-curvature (1/eps) terms
-        against the order-one nonlocal and tilt terms."""
+        quadrature weight: interface 2 eps/h^2, well curvature (clipped at
+        0) and 1.  On solver grids (h ~ eps/8) the interface term 128/eps
+        dominates: wherever w stays in [-0.03, 1] the sum lies within about
+        0.5% of it, so dividing the gradient by it rescales the step by a
+        nearly constant factor rather than equalizing per-node scales."""
         eps = self.p.epsilon
         beta = self.p.beta_eps
         u = values
@@ -442,7 +443,6 @@ def speed_eps(
     c_hi: float,
     grid: Grid,
     init: np.ndarray,
-    tol: float = 1e-6,
     max_iter: int = 10000,
 ) -> SpeedResult:
     """Speed at which the constrained minimum energy crosses zero.
@@ -460,9 +460,12 @@ def speed_eps(
     root from below; a step that the capped minimizations carry past it
     only moves the bracket.  The solve stops once |m| is at most
     SPEED_VALUE_TOL or a Newton step is at most SPEED_BRACKET_TOL
-    relative.  Minimizations warm-start from the previous minimizer.
-    Returns the minimized speed with the smallest |m|, and every
-    minimization and certified end in ``steps``.
+    relative.  Minimizations run to the gradient-norm tolerance
+    SPEED_GRAD_TOL or ``max_iter`` iterations and warm-start from the
+    previous minimizer.  Each speed's inhibitor matrix is factored once:
+    an uncertified c_hi is minimized with the energy built for its
+    certificate.  Returns the minimized speed with the smallest |m|, and
+    every minimization and certified end in ``steps``.
     """
     if not 0.0 < c_lo < c_hi:
         raise BracketError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
@@ -471,39 +474,40 @@ def speed_eps(
     steps = []
     best = None  # (c, MinimizeResult) with the smallest |m| so far
 
-    def minimum(c: float):
+    def minimum(engine: DiscreteEnergy):
         nonlocal warm, best
-        engine = DiscreteEnergy(grid, c, p)
-        res = minimize_energy(engine, warm, tol=tol, max_iter=max_iter)
+        res = minimize_energy(engine, warm, tol=SPEED_GRAD_TOL,
+                              max_iter=max_iter)
         warm = res.profile.values
         slope = engine.d_speed(warm)
-        steps.append(SpeedStep(c, res.value, slope, res.iterations, res.converged))
+        steps.append(SpeedStep(engine.c, res.value, slope, res.iterations,
+                               res.converged))
         if best is None or abs(res.value) < abs(best[1].value):
-            best = (c, res)
+            best = (engine.c, res)
         return res.value, slope, res
 
-    def certify(c: float):
-        """The warm profile's energy at c, recorded as a certified step, if
-        it is negative, else None; costs one factorization and three
-        solves."""
-        engine = DiscreteEnergy(grid, c, p)
+    def certify(engine: DiscreteEnergy):
+        """The warm profile's energy at the engine's speed, recorded as a
+        certified step, if it is negative, else None; costs three solves."""
         bound = engine.report(warm).total
         if not bound < 0.0:
             return None
-        steps.append(SpeedStep(c, bound, engine.d_speed(warm), 0, False,
-                               certified=True))
+        steps.append(SpeedStep(engine.c, bound, engine.d_speed(warm), 0,
+                               False, certified=True))
         return bound
 
-    f_lo = minimum(c_lo)
-    m_hi = certify(c_hi) if f_lo[0] > 0.0 else None
+    f_lo = minimum(DiscreteEnergy(grid, c_lo, p))
+    hi = DiscreteEnergy(grid, c_hi, p)
+    m_hi = certify(hi) if f_lo[0] > 0.0 else None
     if m_hi is None:
-        m_hi = minimum(c_hi)[0]
+        m_hi = minimum(hi)[0]
     if not f_lo[0] > 0.0 > m_hi:
         raise BracketError(
             f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
             f"m({c_lo})={f_lo[0]}, m({c_hi})={m_hi}"
         )
-    _newton_root(minimum, c_lo, c_hi, c_lo, f_lo,
+    _newton_root(lambda c: minimum(DiscreteEnergy(grid, c, p)),
+                 c_lo, c_hi, c_lo, f_lo,
                  xtol=SPEED_BRACKET_TOL, ftol=SPEED_VALUE_TOL)
     c_best, res = best
     return SpeedResult(
@@ -534,15 +538,16 @@ class StudyResult:
 def convergence_study(
     eps_list,
     p: Params,
-    tol: float = 1e-6,
     max_iter: int = 1500,
 ) -> StudyResult:
     """Solve the finite-width speed problem along a ladder of interface
     widths and tabulate the errors against the limit speed and limit set.
 
     The speed bracket for every width is [c_limit/BRACKET_FACTOR,
-    c_limit*BRACKET_FACTOR].  Error columns are flagged monotone when they
-    decrease weakly down the ladder (widths sorted descending).
+    c_limit*BRACKET_FACTOR], and each minimization stops at the gradient
+    norm SPEED_GRAD_TOL or after ``max_iter`` iterations.  Error columns
+    are flagged monotone when they decrease weakly down the ladder (widths
+    sorted descending).
 
     The default per-minimization iteration budget is far below the cap of
     minimize_energy: the energy value settles orders of magnitude inside
@@ -562,7 +567,7 @@ def convergence_study(
         init = build_recovery(e, pe, grid)
         result = speed_eps(
             pe, c_limit / BRACKET_FACTOR, c_limit * BRACKET_FACTOR,
-            grid, init.w.values, tol=tol, max_iter=max_iter,
+            grid, init.w.values, max_iter=max_iter,
         )
         err_u = l2e_norm(grid, result.profile.values - e.indicator(grid).values)
         r = result.report

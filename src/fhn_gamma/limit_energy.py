@@ -7,9 +7,6 @@ r1, r2 of the inhibitor equation.  The geometric energy of a union of
 intervals has exact perimeter and area sums; its nonlocal term is closed
 form for a single interval and a first-order finite-difference pairing for
 unions of two or more (ROADMAP item 4 is the closed form for unions).
-
-Exponentials with very negative exponents are clamped to 0 so all functions
-remain evaluable at the bracketing limits (width -> 0+ and width -> inf).
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .model import SQRT2, Params
-from .nonlocal_operator import _exp, char_roots, lc_indicator, nonlocal_energy
+from .nonlocal_operator import char_roots, lc_indicator, nonlocal_energy
 from .weighted_space import Grid, IntervalUnion, total_variation_e
 
 #: grid spacing of the finite-difference pairing of a union of intervals
@@ -27,11 +24,12 @@ FD_RESOLUTION = 0.005
 
 
 def speed_ratio(c: float, gamma: float) -> float:
-    """Normalized speed c / sqrt(c^2 + 4 gamma), strictly increasing from 0
-    at rest toward 1; equals the reciprocal of the root gap r2 - r1."""
+    """Normalized speed H(c) = ``char_roots(c, gamma).ratio``, strictly
+    increasing from 0 at rest toward 1; equals the reciprocal of the root
+    gap r2 - r1."""
     if c < 0 or gamma <= 0:
         raise InvalidParameterError(f"need c >= 0, gamma > 0; got c={c}, gamma={gamma}")
-    return c / math.sqrt(c * c + 4.0 * gamma)
+    return char_roots(c, gamma).ratio if c > 0 else 0.0
 
 
 def speed_ratio_derivative(c: float, gamma: float) -> float:
@@ -52,9 +50,9 @@ def speed_derivative_factor(ell: float, c: float, gamma: float) -> float:
         raise InvalidParameterError(f"need ell >= 0 and c > 0, got ell={ell}, c={c}")
     if math.isinf(ell):
         return -1.0
-    r1 = char_roots(c, gamma).r1
-    h = speed_ratio(c, gamma)
-    return -1.0 - _exp(-ell) + (2.0 + ell / h) * _exp(r1 * ell)
+    roots = char_roots(c, gamma)
+    return (-1.0 - math.exp(-ell)
+            + (2.0 + ell / roots.ratio) * math.exp(roots.r1 * ell))
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
     alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
     roots = char_roots(c, gamma)
     r1 = roots.r1
-    h = speed_ratio(c, gamma)
+    h = roots.ratio
 
     if math.isinf(ell):
         fe = front_energy(c, p)
@@ -87,8 +85,8 @@ def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
         return IntervalEnergy(value=fe.value, d_width=0.0, d_width2=0.0,
                               d_speed=d_speed)
 
-    em = _exp(-ell)
-    e1 = _exp(r1 * ell)
+    em = math.exp(-ell)
+    e1 = math.exp(r1 * ell)
     value = (
         (SQRT2 / 12.0) * (1.0 - alpha)
         + (SQRT2 / 12.0) * (1.0 + alpha) * em
@@ -96,13 +94,23 @@ def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
     )
     half = sigma / (2.0 * gamma)
     d_width = -(SQRT2 / 12.0) * (1.0 + alpha) * em - (1.0 + h) * half * (e1 - em)
-    d_width2 = (SQRT2 / 12.0) * (1.0 + alpha) * em - (1.0 + h) * half * (em + r1 * e1)
+    d_width2 = em * scaled_width_curvature(ell, c, p)
     d_speed = (
         2.0 * sigma / (c * c + 4.0 * gamma) ** 1.5
         * speed_derivative_factor(ell, c, gamma)
     )
     return IntervalEnergy(value=value, d_width=d_width, d_width2=d_width2,
                           d_speed=d_speed)
+
+
+def scaled_width_curvature(ell: float, c: float, p: Params) -> float:
+    """e^ell times the second width derivative of the interval energy,
+    (sqrt(2)/12)(1 + alpha) - (1 + H)(sigma / 2 gamma)(1 + r1 e^{-r2 ell}):
+    same sign, but no factor that underflows at large widths."""
+    roots = char_roots(c, p.gamma)
+    return ((SQRT2 / 12.0) * (1.0 + p.alpha)
+            - (1.0 + roots.ratio) * p.sigma / (2.0 * p.gamma)
+            * (1.0 + roots.r1 * math.exp(-roots.r2 * ell)))
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,8 @@ def width_condition(ell: float, c: float, p: Params) -> WidthCondition:
                               d_speed=0.0)
     roots = char_roots(c, gamma)
     r1, r2 = roots.r1, roots.r2
-    e2 = _exp(-r2 * ell)
-    e1 = _exp(r1 * ell)
+    e2 = math.exp(-r2 * ell)
+    e1 = math.exp(r1 * ell)
     den2 = 1.0 - e2
     den1 = 1.0 - e1
     if den2 == 0.0 or den1 == 0.0:
@@ -156,11 +164,9 @@ def width_condition(ell: float, c: float, p: Params) -> WidthCondition:
     d_width = scale * (
         -(1.0 + alpha) * r2 * e2 / den2**2 + (alpha - 1.0) * r1 * e1 / den1**2
     )
-    s = math.sqrt(c * c + 4.0 * gamma)
-    dr1_dc = 2.0 * gamma / (c * c * s)
-    dr2_dc = -dr1_dc
+    dr1_dc = roots.dr1_dc
     d_speed = scale * ell * (
-        -(1.0 + alpha) * e2 / den2**2 * dr2_dc + (alpha - 1.0) * e1 / den1**2 * dr1_dc
+        (1.0 + alpha) * e2 / den2**2 * dr1_dc + (alpha - 1.0) * e1 / den1**2 * dr1_dc
     )
     return WidthCondition(value=value, d_width=d_width, d_speed=d_speed)
 

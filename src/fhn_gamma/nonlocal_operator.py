@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -18,13 +19,18 @@ from .errors import GridError, InvalidParameterError, NonConvergenceError
 from .weighted_space import Grid, SampledFunction, weighted_dot
 
 
-@dataclass(frozen=True)
-class CharRoots:
+class CharRoots(NamedTuple):
     """Characteristic exponents of c^2 r^2 + c^2 r - gamma = 0, with
-    r1 < -1 < 0 < r2 and r1 + r2 = -1 exactly."""
+    r1 < -1 < 0 < r2 and r1 + r2 = -1 exactly, and their speed dependence:
+    ratio = H(c) = c / sqrt(c^2 + 4 gamma) = 1 / (r2 - r1) and
+    dr1_dc = -dr2/dc = 2 gamma / (c^2 sqrt(c^2 + 4 gamma)).  A named tuple:
+    the limit-level solvers build one per evaluation, and a frozen
+    dataclass of four fields costs about twice as much to construct."""
 
     r1: float
     r2: float
+    ratio: float
+    dr1_dc: float
 
     @property
     def gap(self) -> float:
@@ -32,7 +38,8 @@ class CharRoots:
 
 
 def char_roots(c: float, gamma: float) -> CharRoots:
-    """Decay exponents of the inhibitor equation.
+    """Decay exponents of the inhibitor equation and their speed dependence,
+    all from one square root s = sqrt(c^2 + 4 gamma).
 
     r2 is computed in the cancellation-free form 2*gamma / (c*(c + s)) and
     r1 as -1 - r2, which enforces the sum identity to machine precision.
@@ -43,7 +50,8 @@ def char_roots(c: float, gamma: float) -> CharRoots:
         )
     s = math.sqrt(c * c + 4.0 * gamma)
     r2 = 2.0 * gamma / (c * (c + s))
-    return CharRoots(r1=-1.0 - r2, r2=r2)
+    return CharRoots(r1=-1.0 - r2, r2=r2, ratio=c / s,
+                     dr1_dc=2.0 * gamma / (c * c * s))
 
 
 #: largest log of an entry the symmetrized solves form from unit data: the
@@ -51,13 +59,6 @@ def char_roots(c: float, gamma: float) -> CharRoots:
 #: e^650 leaves a factor e^59 below the float range for the data, the 2/c of
 #: the speed derivative and the growth 1/lambda_min(S) of the solve.
 MAX_LOG_SCALE = 650.0
-
-
-def _exp(z: float) -> float:
-    """exp that underflows to 0 instead of raising for very negative z."""
-    if z < -745.0:
-        return 0.0
-    return math.exp(z)
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class PiecewiseExpSolution:
         # a3 e^{-r1 ell} is evaluated as -r2/denom (its exact algebraic value)
         # to avoid the overflowing factor e^{-r1 ell}
         denom = self.gamma * self.roots.gap
-        e2 = _exp(-r2 * self.ell)
+        e2 = math.exp(-r2 * self.ell)
         inner_val = 1.0 / self.gamma - r2 / denom + (r1 / denom) * e2
         outer_val = (r1 / denom) * (e2 - 1.0)
         inner_der = -r1 * r2 / denom + (r1 * r2 / denom) * e2
@@ -135,7 +136,7 @@ class PiecewiseExpSolution:
         if math.isinf(self.ell):
             return (1.0 / self.gamma) * (1.0 - 1.0 / self.roots.gap)
         return (2.0 / (self.gamma * self.roots.gap)) * (
-            r2 + r1 * _exp(-self.ell) + _exp(r1 * self.ell)
+            r2 + r1 * math.exp(-self.ell) + math.exp(r1 * self.ell)
         )
 
 
@@ -153,9 +154,9 @@ def lc_indicator(ell: float, c: float, gamma: float) -> PiecewiseExpSolution:
         )
     return PiecewiseExpSolution(
         roots=roots, gamma=gamma, ell=ell,
-        a1=r2 * (1.0 - _exp(r1 * ell)) / denom,
+        a1=r2 * (1.0 - math.exp(r1 * ell)) / denom,
         a2=r1 / denom,
-        a3=-r2 * _exp(r1 * ell) / denom,
+        a3=-r2 * math.exp(r1 * ell) / denom,
     )
 
 
@@ -171,8 +172,9 @@ class InhibitorOperator:
     positive-definite tridiagonal matrix S = D A D^{-1}: the interior ratio
     D_{i+1}/D_i = sqrt((1 + h/2)/(1 - h/2)) depends on neither c nor gamma,
     so D is close to e^{x/2}.  S is factored once per (grid, speed) with
-    LAPACK dpttrf; ``solve`` is D^{-1} S^{-1} D B and the adjoint
-    ``solve_transpose`` is D S^{-1} D^{-1}, both from the same factors.
+    LAPACK dpttrf; ``solve`` is L = A^{-1} B = D^{-1} S^{-1} D B and
+    ``solve_transpose`` its adjoint L^T = B A^{-T} = B D S^{-1} D^{-1},
+    both from the same factors.
     The right-hand sides of those solves hold D_{n-1} ~ e^{length/4} times
     the right-end Robin coefficient (about 2 c^2/(h gamma)); grids on which
     that product would pass e^MAX_LOG_SCALE raise GridError, which happens
@@ -202,9 +204,8 @@ class InhibitorOperator:
         self._b_lo = 1.0 - sub * 2.0 * h * roots.r2 / gamma
         self._b_hi = 1.0 + sup * 2.0 * h * roots.r1 / gamma
         # the speed derivative's end rows, (2/c)(gamma v - B f) plus the
-        # Robin rows' dependence on c through the decay rates r1, r2 (the
-        # implicit derivative of c^2 r^2 + c^2 r - gamma = 0; dr1/dc = -dr2/dc)
-        dr2 = -2.0 * roots.r2 * (roots.r2 + 1.0) / (c * (2.0 * roots.r2 + 1.0))
+        # Robin rows' dependence on c through the decay rates r1, r2
+        dr2 = -roots.dr1_dc
         self._speed_lo = (
             2.0 * gamma / c + 2.0 * h * sub * dr2,
             -2.0 * self._b_lo / c
@@ -275,9 +276,13 @@ class InhibitorOperator:
     def solve(self, f: np.ndarray) -> np.ndarray:
         return self._solve_scaled(self._inv_scale, self._scale_b, f)
 
-    def solve_transpose(self, f: np.ndarray) -> np.ndarray:
-        """Solve with the transposed system matrix (used by energy gradients)."""
-        return self._solve_scaled(self._scale, self._inv_scale, f)
+    def solve_transpose(self, g: np.ndarray) -> np.ndarray:
+        """The adjoint L^T g = B A^{-T} g of ``solve`` in the plain inner
+        product (used by energy gradients)."""
+        x = self._solve_scaled(self._scale, self._inv_scale, g)
+        x[0] *= self._b_lo
+        x[-1] *= self._b_hi
+        return x
 
     def d_speed(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Speed derivative of the response v = solve(f) at fixed data f.
@@ -290,13 +295,6 @@ class InhibitorOperator:
         rhs[0] = self._speed_lo[0] * v[0] + self._speed_lo[1] * f[0]
         rhs[-1] = self._speed_hi[0] * v[-1] + self._speed_hi[1] * f[-1]
         return self._solve_scaled(self._inv_scale, self._scale, rhs)
-
-    def apply_boundary_coupling(self, f: np.ndarray) -> np.ndarray:
-        """Right-hand side including the boundary-data coupling B f."""
-        out = np.array(f, dtype=float)
-        out[0] *= self._b_lo
-        out[-1] *= self._b_hi
-        return out
 
 
 def lc_solve_fd(f: SampledFunction, c: float, gamma: float) -> SampledFunction:

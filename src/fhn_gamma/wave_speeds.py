@@ -21,11 +21,11 @@ from .errors import BracketError, RegimeError
 from .limit_energy import (
     front_energy,
     interval_energy,
+    scaled_width_curvature,
     speed_ratio,
     width_condition,
 )
 from .model import SQRT2, Params, RegimeTag, classify, require_regime
-from .nonlocal_operator import char_roots
 from .weighted_space import IntervalUnion
 
 #: relative Newton step at which the width and the speed solves stop
@@ -225,22 +225,12 @@ def pulse_speed(p: Params) -> PulseResult:
     return result
 
 
-def _scaled_width_curvature(ell: float, c: float, p: Params) -> float:
-    """e^l times the second width derivative of the interval energy,
-    (sqrt(2)/12)(1 + alpha) - (1 + H)(sigma / 2 gamma)(1 + r1 e^{-r2 l}):
-    same sign, but no factor that underflows at large widths."""
-    roots = char_roots(c, p.gamma)
-    h = speed_ratio(c, p.gamma)
-    return ((SQRT2 / 12.0) * (1.0 + p.alpha) - (1.0 + h) * p.sigma / (2.0 * p.gamma)
-            * (1.0 + roots.r1 * math.exp(-roots.r2 * ell)))
-
-
 def _check_pulse(result: PulseResult, p: Params) -> None:
     if result.ell_p <= math.log((p.alpha + 1.0) / (p.alpha - 1.0)):
         raise BracketError(  # pragma: no cover - defensive
             f"pulse width {result.ell_p} below its structural lower bound"
         )
-    if _scaled_width_curvature(result.ell_p, result.c_p, p) <= 0.0:
+    if scaled_width_curvature(result.ell_p, result.c_p, p) <= 0.0:
         raise BracketError(  # pragma: no cover - defensive
             "pulse solution is not a width minimum"
         )

@@ -106,10 +106,18 @@ class SampledFunction:
 
     @classmethod
     def from_csv(cls, path) -> "SampledFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        """Read columns x,value after one header line; needs 3 or more rows."""
+        with warnings.catch_warnings():
+            # empty input is reported by the row check below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] < 3 or data.shape[1] < 2:
+            raise GridError(
+                f"{path}: need at least 3 rows of x,value, got shape {data.shape}"
+            )
         x, values = data[:, 0], data[:, 1]
         h = np.diff(x)
-        if h.size < 2 or not np.allclose(h, h[0], rtol=1e-8, atol=1e-12):
+        if not np.allclose(h, h[0], rtol=1e-8, atol=1e-12):
             raise GridError(f"{path}: grid in CSV is not uniform")
         return cls(Grid(float(x[0]), float(x[-1]), len(x)), values)
 
@@ -210,11 +218,24 @@ class IntervalUnion:
 
     @classmethod
     def from_json(cls, text: str) -> "IntervalUnion":
-        raw = json.loads(text)
-        ivs = tuple(
-            (-math.inf if a == "-inf" else float(a), float(b)) for a, b in raw
-        )
-        return cls(ivs)
+        """Parse a JSON list of [a, b] pairs of numbers; a may be "-inf"."""
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"interval union is not JSON: {exc}") from None
+
+        def number(v) -> bool:
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+        if not isinstance(raw, list) or not all(
+                isinstance(iv, list) and len(iv) == 2
+                and (number(iv[0]) or iv[0] == "-inf") and number(iv[1])
+                for iv in raw):
+            raise InvalidParameterError(
+                f'interval union must be a JSON list of [number or "-inf", '
+                f"number] pairs, got {text!r}"
+            )
+        return cls(tuple((-math.inf if a == "-inf" else a, b) for a, b in raw))
 
 
 def total_variation_e(e: IntervalUnion) -> float:

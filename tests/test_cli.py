@@ -212,3 +212,28 @@ _PULSE_ARGS = ["--alpha", "2", "--gamma", "1", "--sigma", "1"]
 def test_zero_or_missing_width_is_invalid_input(argv, capsys):
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("union", ["5", "[[1]]", '[["a",1]]'])
+def test_malformed_set_is_invalid_input(union, capsys):
+    argv = ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+            "--epsilon", "0.04", "--set", union]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["x,value\n0.0,1.0\n", "x,value\n"])
+def test_short_profile_csv_is_invalid_input(text, tmp_path, capsys):
+    src = tmp_path / "short.csv"
+    src.write_text(text)
+    argv = ["lc-apply", *_PULSE_ARGS, "--c", "1.0", "--input", str(src)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("alpha", [None, [2]])
+def test_config_value_of_wrong_type_is_invalid_input(alpha, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": alpha, "gamma": 1, "sigma": 1}))
+    assert run(["classify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

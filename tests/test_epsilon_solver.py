@@ -414,3 +414,21 @@ def test_speed_uncertified_end_is_minimized(pulse_bracket,
     assert end.value == minimize_energy(DiscreteEnergy(grid, c_hi, p), w_lo,
                                         max_iter=300).value < 0.0
 
+
+def test_speed_factors_each_speed_once(pulse_bracket, monkeypatch):
+    # the uncertified c_hi is minimized with the energy built for its
+    # certificate, so no speed's inhibitor matrix is factored twice
+    p, grid, init, c_lo, _, c_star = pulse_bracket
+    c_hi = c_star * (1.0 - 1e-3)
+    factored = []
+    operator = epsilon_solver.InhibitorOperator
+
+    def counted(grid, c, gamma):
+        factored.append(c)
+        return operator(grid, c, gamma)
+
+    monkeypatch.setattr(epsilon_solver, "InhibitorOperator", counted)
+    res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
+    assert not any(step.certified for step in res.steps)
+    assert sorted(factored) == sorted(step.c for step in res.steps)
+    assert len(set(factored)) == len(factored)

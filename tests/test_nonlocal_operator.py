@@ -7,6 +7,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from fhn_gamma.epsilon_solver import solver_grid
 from fhn_gamma.errors import GridError, InvalidParameterError
+from fhn_gamma.limit_energy import speed_ratio
 from fhn_gamma.model import Params
 from fhn_gamma.nonlocal_operator import (
     InhibitorOperator,
@@ -32,6 +33,19 @@ def test_char_roots_identities():
         assert r.r1 * r.r2 == pytest.approx(-gamma / c**2, rel=1e-12)
         h = c / math.sqrt(c * c + 4.0 * gamma)
         assert r.gap == pytest.approx(1.0 / h, rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 4.0])
+def test_char_roots_speed_dependence(gamma):
+    for c in np.geomspace(1e-3, 1e2, 26):
+        r = char_roots(c, gamma)
+        dc = 1e-5 * c
+        fd = (char_roots(c + dc, gamma).r1 - char_roots(c - dc, gamma).r1) \
+            / (2.0 * dc)
+        assert r.dr1_dc == pytest.approx(fd, rel=1e-7)
+        assert r.ratio == pytest.approx(1.0 / r.gap, rel=1e-13)
+        assert r.ratio == speed_ratio(c, gamma)
+    assert speed_ratio(0.0, gamma) == 0.0
 
 
 def test_char_roots_rejects_bad_input():
@@ -170,7 +184,7 @@ def test_solves_match_dense_assembled_matrix():
     rng = np.random.default_rng(17)
     f = rng.standard_normal(n)
     for got, want in ((op.solve(f), np.linalg.solve(a, b * f)),
-                      (op.solve_transpose(f), np.linalg.solve(a.T, f))):
+                      (op.solve_transpose(f), b * np.linalg.solve(a.T, f))):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(want)))
 
@@ -181,9 +195,9 @@ def test_transpose_solve_is_adjoint_in_plain_inner_product():
     rng = np.random.default_rng(11)
     f = rng.standard_normal(grid.n)
     g = rng.standard_normal(grid.n)
-    # <A^{-1} B f, g> = <B f, A^{-T} g>
+    # <L f, g> = <f, L^T g>
     lhs = float(np.dot(op.solve(f), g))
-    rhs = float(np.dot(op.apply_boundary_coupling(f), op.solve_transpose(g)))
+    rhs = float(np.dot(f, op.solve_transpose(g)))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -216,8 +230,9 @@ def test_lc_solve_fd_wrapper():
 
 
 def _pivoting_reference(grid, c, gamma):
-    """The inhibitor matrix factored as it is, without symmetrization,
-    by LAPACK's pivoting dgttrf."""
+    """The inhibitor matrix A factored as it is, without symmetrization, by
+    LAPACK's pivoting dgttrf, and the diagonal of the boundary coupling B
+    (A v = B f)."""
     r = char_roots(c, gamma)
     h, n = grid.h, grid.n
     sub = -c * c / h**2 + c * c / (2.0 * h)
@@ -228,9 +243,12 @@ def _pivoting_reference(grid, c, gamma):
     du[0] += sub
     d[-1] += 2.0 * h * r.r1 * sup
     dl[-1] += sup
+    b = np.ones(n)
+    b[0] -= 2.0 * h * r.r2 * sub / gamma
+    b[-1] += 2.0 * h * r.r1 * sup / gamma
     *lu, info = dgttrf(dl, d, du)
     assert info == 0
-    return lu
+    return lu, b
 
 
 def _long_grids():
@@ -246,12 +264,12 @@ def test_symmetric_solve_matches_pivoting_reference_on_long_grids():
     for grid, c in _long_grids():
         assert grid.x_hi - grid.x_lo > 240.0
         op = InhibitorOperator(grid, c, 1.0)
-        lu = _pivoting_reference(grid, c, 1.0)
+        lu, b = _pivoting_reference(grid, c, 1.0)
         f = rng.uniform(-1.6, 1.0, grid.n)
         g = grid.weight * grid.h * rng.uniform(-1.6, 1.0, grid.n)
         for got, want in (
-                (op.solve(f), dgttrs(*lu, op.apply_boundary_coupling(f))[0]),
-                (op.solve_transpose(g), dgttrs(*lu, g, trans="T")[0])):
+                (op.solve(f), dgttrs(*lu, b * f)[0]),
+                (op.solve_transpose(g), b * dgttrs(*lu, g, trans="T")[0])):
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -269,14 +287,14 @@ def test_cap_counts_the_right_end_robin_coefficient():
     c, gamma, h = 90.0, 1.0, 0.05
     grid = Grid(10.0 - 50940 * h, 10.0, 50941)  # 2,547 units
     op = InhibitorOperator(grid, c, gamma)
-    lu = _pivoting_reference(grid, c, gamma)
+    lu, b = _pivoting_reference(grid, c, gamma)
     f = np.where(grid.x < 0.0, 1.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = op.solve(f)
         dv = op.d_speed(f, v)
         t = op.solve_transpose(grid.weight * f)
-    want = dgttrs(*lu, op.apply_boundary_coupling(f))[0]
+    want = dgttrs(*lu, b * f)[0]
     assert np.max(np.abs(v - want)) <= 1e-10 * np.max(np.abs(want))
     assert np.all(np.isfinite(dv)) and np.all(np.isfinite(t))
     # ... and 2,560 units, where |log D| alone is about 640, raise
