@@ -135,6 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(typ, value):
+    """``typ(value)`` for a config value, refusing what would only convert:
+    a boolean, or a non-integral number for an int option."""
+    if isinstance(value, bool) or (
+            typ is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return typ(value)
+
+
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config file and explicit flags, in that order."""
     opts_spec = _COMMANDS[args.command][1]
@@ -148,9 +157,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
                 raise InvalidParameterError(
                     f"unknown config key {key!r} for {args.command}"
                 )
-            typ = opts_spec[key][0]
             try:
-                merged[key] = typ(value)
+                merged[key] = _config_value(opts_spec[key][0], value)
             except (TypeError, ValueError):
                 raise InvalidParameterError(
                     f"config key {key!r}: cannot parse {value!r}"

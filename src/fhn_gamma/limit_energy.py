@@ -3,20 +3,23 @@
 The single-interval energy and its derivatives, its infinite-width (front)
 limit, the optimal-width condition and the auxiliary factor proving
 monotonicity in the speed are closed-form arithmetic in the decay exponents
-r1, r2 of the inhibitor equation.  The geometric energy of a union of
+r1, r2 of the inhibitor equation.  The energy and the condition each have
+an ``*_at`` form that takes those roots (``CharRoots``), so a solver at a
+fixed speed builds them once.  The geometric energy of a union of
 intervals has exact perimeter and area sums; its nonlocal term is closed
 form for a single interval and a first-order finite-difference pairing for
-unions of two or more (ROADMAP item 4 is the closed form for unions).
+unions of two or more (ROADMAP item 5 is the closed form for unions).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .model import SQRT2, Params
-from .nonlocal_operator import char_roots, lc_indicator, nonlocal_energy
+from .nonlocal_operator import CharRoots, char_roots, lc_indicator, nonlocal_energy
 from .weighted_space import Grid, IntervalUnion, total_variation_e
 
 #: grid spacing of the finite-difference pairing of a union of intervals
@@ -50,14 +53,19 @@ def speed_derivative_factor(ell: float, c: float, gamma: float) -> float:
         raise InvalidParameterError(f"need ell >= 0 and c > 0, got ell={ell}, c={c}")
     if math.isinf(ell):
         return -1.0
-    roots = char_roots(c, gamma)
+    return _speed_factor(ell, char_roots(c, gamma))
+
+
+def _speed_factor(ell: float, roots: CharRoots) -> float:
+    """``speed_derivative_factor`` at a finite width, from the roots."""
     return (-1.0 - math.exp(-ell)
             + (2.0 + ell / roots.ratio) * math.exp(roots.r1 * ell))
 
 
-@dataclass(frozen=True)
-class IntervalEnergy:
-    """Normalized single-interval energy with its width and speed derivatives."""
+class IntervalEnergy(NamedTuple):
+    """Normalized single-interval energy with its width and speed derivatives.
+    A named tuple, like ``WidthCondition``: the pulse solve builds one per
+    speed."""
 
     value: float
     d_width: float
@@ -67,24 +75,27 @@ class IntervalEnergy:
 
 def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
     """Limit energy of a width-ell interval normalized to unit right endpoint
-    weight, with first and second width derivatives and the speed derivative.
-
-    The speed derivative is computed through the auxiliary factor route:
-    d/dc = 2 sigma (c^2 + 4 gamma)^{-3/2} * factor(ell, c).
-    """
+    weight, with first and second width derivatives and the speed derivative
+    (``interval_energy_at`` on the roots of speed c)."""
     if ell <= 0 or c <= 0:
         raise InvalidParameterError(f"need ell > 0 and c > 0, got ell={ell}, c={c}")
-    alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
-    roots = char_roots(c, gamma)
-    r1 = roots.r1
-    h = roots.ratio
-
     if math.isinf(ell):
         fe = front_energy(c, p)
-        d_speed = -2.0 * sigma / (c * c + 4.0 * gamma) ** 1.5
-        return IntervalEnergy(value=fe.value, d_width=0.0, d_width2=0.0,
-                              d_speed=d_speed)
+        return IntervalEnergy(fe.value, 0.0, 0.0, fe.derivative)
+    return interval_energy_at(ell, char_roots(c, p.gamma), p)
 
+
+def interval_energy_at(ell: float, roots: CharRoots, p: Params) -> IntervalEnergy:
+    """``interval_energy`` at a finite width ell > 0 and the speed whose
+    roots are given.
+
+    The speed derivative is computed through the auxiliary factor route:
+    d/dc = 2 sigma (c^2 + 4 gamma)^{-3/2} * factor(ell, c), with
+    (c^2 + 4 gamma)^{-3/2} = dr1_dc H^2 / (2 gamma).
+    """
+    alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
+    r1 = roots.r1
+    h = roots.ratio
     em = math.exp(-ell)
     e1 = math.exp(r1 * ell)
     value = (
@@ -94,20 +105,17 @@ def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
     )
     half = sigma / (2.0 * gamma)
     d_width = -(SQRT2 / 12.0) * (1.0 + alpha) * em - (1.0 + h) * half * (e1 - em)
-    d_width2 = em * scaled_width_curvature(ell, c, p)
-    d_speed = (
-        2.0 * sigma / (c * c + 4.0 * gamma) ** 1.5
-        * speed_derivative_factor(ell, c, gamma)
-    )
-    return IntervalEnergy(value=value, d_width=d_width, d_width2=d_width2,
-                          d_speed=d_speed)
+    d_width2 = em * scaled_width_curvature(ell, roots, p)
+    cube = roots.dr1_dc * h * h / (2.0 * gamma)  # (c^2 + 4 gamma)^{-3/2}
+    d_speed = 2.0 * sigma * cube * _speed_factor(ell, roots)
+    return IntervalEnergy(value, d_width, d_width2, d_speed)
 
 
-def scaled_width_curvature(ell: float, c: float, p: Params) -> float:
-    """e^ell times the second width derivative of the interval energy,
+def scaled_width_curvature(ell: float, roots: CharRoots, p: Params) -> float:
+    """e^ell times the second width derivative of the interval energy at the
+    speed whose roots are given,
     (sqrt(2)/12)(1 + alpha) - (1 + H)(sigma / 2 gamma)(1 + r1 e^{-r2 ell}):
     same sign, but no factor that underflows at large widths."""
-    roots = char_roots(c, p.gamma)
     return ((SQRT2 / 12.0) * (1.0 + p.alpha)
             - (1.0 + roots.ratio) * p.sigma / (2.0 * p.gamma)
             * (1.0 + roots.r1 * math.exp(-roots.r2 * ell)))
@@ -129,10 +137,12 @@ def front_energy(c: float, p: Params) -> FrontEnergy:
     return FrontEnergy(value=value, derivative=derivative)
 
 
-@dataclass(frozen=True)
-class WidthCondition:
+class WidthCondition(NamedTuple):
     """Value and derivatives of the optimal-width condition; its unique
-    ell-root defines the optimal pulse width for a given speed."""
+    ell-root defines the optimal pulse width for a given speed.  A named
+    tuple: the pulse solve builds about 50 per pulse, and a frozen
+    dataclass costs more to construct than the condition costs to
+    evaluate."""
 
     value: float
     d_width: float
@@ -143,23 +153,29 @@ def width_condition(ell: float, c: float, p: Params) -> WidthCondition:
     """The combination of the two pulse optimality conditions whose root in
     ell picks the optimal width: strictly decreasing in width, strictly
     increasing in speed.  Tends to +inf as ell -> 0+ and to
-    sqrt(2) alpha gamma / (6 sigma) - 1 as ell -> inf.
+    sqrt(2) alpha gamma / (6 sigma) - 1 as ell -> inf.  ``width_condition_at``
+    on the roots of speed c.
     """
     if ell <= 0 or c <= 0:
         raise InvalidParameterError(f"need ell > 0 and c > 0, got ell={ell}, c={c}")
+    if math.isinf(ell):
+        scale = SQRT2 * p.gamma / (12.0 * p.sigma)
+        return WidthCondition(scale * 2.0 * p.alpha - 1.0, 0.0, 0.0)
+    return width_condition_at(ell, char_roots(c, p.gamma), p)
+
+
+def width_condition_at(ell: float, roots: CharRoots, p: Params) -> WidthCondition:
+    """``width_condition`` at a finite width ell > 0 and the speed whose
+    roots are given."""
     alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
     scale = SQRT2 * gamma / (12.0 * sigma)
-    if math.isinf(ell):
-        return WidthCondition(value=scale * 2.0 * alpha - 1.0, d_width=0.0,
-                              d_speed=0.0)
-    roots = char_roots(c, gamma)
     r1, r2 = roots.r1, roots.r2
     e2 = math.exp(-r2 * ell)
     e1 = math.exp(r1 * ell)
     den2 = 1.0 - e2
     den1 = 1.0 - e1
     if den2 == 0.0 or den1 == 0.0:
-        return WidthCondition(value=math.inf, d_width=-math.inf, d_speed=math.inf)
+        return WidthCondition(math.inf, -math.inf, math.inf)
     value = scale * ((1.0 + alpha) / den2 + (alpha - 1.0) / den1) - 1.0
     d_width = scale * (
         -(1.0 + alpha) * r2 * e2 / den2**2 + (alpha - 1.0) * r1 * e1 / den1**2
@@ -168,7 +184,7 @@ def width_condition(ell: float, c: float, p: Params) -> WidthCondition:
     d_speed = scale * ell * (
         (1.0 + alpha) * e2 / den2**2 * dr1_dc + (alpha - 1.0) * e1 / den1**2 * dr1_dc
     )
-    return WidthCondition(value=value, d_width=d_width, d_speed=d_speed)
+    return WidthCondition(value, d_width, d_speed)
 
 
 @dataclass(frozen=True)
@@ -196,7 +212,7 @@ def sharp_interface_energy(
     That pairing is first-order accurate, because the indicator is sampled
     at the nodes: on the benchmark's seeded 2-4-interval unions it was up to
     13% off the exact Green's-function value.  A closed form for unions is
-    ROADMAP item 4.
+    ROADMAP item 5.
     """
     perimeter = (SQRT2 / 12.0) * total_variation_e(e)
     area = -(SQRT2 * p.alpha / 12.0) * e.l1e_norm

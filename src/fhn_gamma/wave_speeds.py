@@ -5,11 +5,16 @@ monotone scalar equations, each by safeguarded Newton: Newton steps on the
 closed-form derivatives, with a step to the bracket's geometric mean
 whenever a Newton step would leave the current sign bracket.  The inner
 level finds the optimal width, the root in the width of the width
-condition Q (strictly decreasing in the width).  The outer level drives
-the interval energy along the optimal-width path, g(c) = J(l*(c), c), to
-zero; g is strictly decreasing, and its exact derivative is
-J_c - J_l Q_c / Q_l.  The finite-width speed solve (``speed_eps``) uses the
-same ``_newton_root``.
+condition Q (strictly decreasing and convex in the width).  Its bracket
+starts as [1e-8, inf): Newton from a point left of the root moves right
+monotonically and never closes it, so no probe looks for a negative Q
+first, and a step out of the open bracket doubles its left end.  The outer
+level drives the interval energy along the optimal-width path,
+g(c) = J(l*(c), c), to zero; g is strictly decreasing, and its exact
+derivative is J_c - J_l Q_c / Q_l.  Both levels see the speed only through
+the decay rates, so each speed's ``CharRoots`` is built once and shared by
+every width evaluation, the energy and the final checks.  The finite-width
+speed solve (``speed_eps``) uses the same ``_newton_root``.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from dataclasses import dataclass
 from .errors import BracketError, RegimeError
 from .limit_energy import (
     front_energy,
-    interval_energy,
+    interval_energy_at,
     scaled_width_curvature,
     speed_ratio,
-    width_condition,
+    width_condition_at,
 )
 from .model import SQRT2, Params, RegimeTag, classify, require_regime
+from .nonlocal_operator import CharRoots, char_roots
 from .weighted_space import IntervalUnion
 
 #: relative Newton step at which the width and the speed solves stop
@@ -115,17 +121,19 @@ def _newton_root(f, lo: float, hi: float, x: float, fx, *,
     geometric mean.  Stops at the first evaluated point whose |value| is at
     most ``ftol`` or whose Newton step is at most ``xtol`` relative (to
     max(1, |x|)), or when the bracket is that narrow; returns that point and
-    its data.
+    its data.  The right end may be inf, an open bracket: a step that
+    leaves it then goes to twice the left end, and the bracket-width test
+    waits for a finite right end.
     """
     value, slope, data = fx
     while abs(value) > ftol:
         step = value / slope if slope < 0.0 else math.inf
         if (abs(step) <= xtol * max(1.0, abs(x))
-                or hi - lo <= xtol * max(1.0, hi)):
+                or (hi < math.inf and hi - lo <= xtol * max(1.0, hi))):
             break
         x = x - step
         if not lo < x < hi:
-            x = math.sqrt(lo * hi)
+            x = math.sqrt(lo * hi) if hi < math.inf else 2.0 * lo
         value, slope, data = f(x)
         if value > 0.0:
             lo = x
@@ -134,44 +142,43 @@ def _newton_root(f, lo: float, hi: float, x: float, fx, *,
     return x, data
 
 
-def _width_root(c: float, p: Params, ell_start: float | None = None):
-    """Optimal width at speed c with the width condition evaluated there.
+def _width_root(roots: CharRoots, p: Params, ell_start: float | None = None):
+    """Optimal width at the speed whose roots are given, with the width
+    condition evaluated there.
 
     The condition decreases strictly from +inf to a negative limit in the
-    pulse regime, so doubling the right bracket end always reaches the
-    root.  The doubling starts from ``ell_start`` when given, else just
-    above the structural bound log((alpha + 1) / (alpha - 1)).  Newton
-    starts from the first probe when it is left of the root (where the
-    convex condition gives monotone Newton steps), else from the first
-    probe right of it.
+    pulse regime and is convex, so Newton started left of the root climbs
+    to it monotonically, and a step from right of the root lands left of
+    it.  Newton runs on the bracket [1e-8, inf), open on the right until a
+    negative condition is seen; it starts from ``ell_start`` when given,
+    else from just above the structural bound log((alpha + 1) / (alpha - 1)).
     """
-    lo = 1e-8
-    if width_condition(lo, c, p).value <= 0.0:  # pragma: no cover - defensive
+    lo, hi = 1e-8, math.inf
+    if width_condition_at(lo, roots, p).value <= 0.0:  # pragma: no cover - defensive
         raise BracketError(f"no positive bracket end at width {lo}")
-    hi = ell_start or math.log((p.alpha + 1.0) / (p.alpha - 1.0)) + 1.0
-    first = None
-    while (q := width_condition(hi, c, p)).value > 0.0:
-        first = first or (hi, q)
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - defensive
-            raise BracketError("optimal-width bracket expansion failed")
-    start, q = first or (hi, q)
 
     def f(ell):
-        q = width_condition(ell, c, p)
+        q = width_condition_at(ell, roots, p)
+        if q.value > 0.0 and ell > 1e12:  # pragma: no cover - defensive
+            raise BracketError("optimal-width bracket expansion failed")
         return q.value, q.d_width, q
 
-    return _newton_root(f, lo, hi, start, (q.value, q.d_width, q))
+    start = ell_start or math.log((p.alpha + 1.0) / (p.alpha - 1.0)) + 1.0
+    fx = f(start)
+    if fx[0] > 0.0:
+        lo = start
+    elif fx[0] < 0.0:
+        hi = start
+    return _newton_root(f, lo, hi, start, fx)
 
 
 def optimal_width(c: float, p: Params) -> float:
     """Width at which the optimal-width condition vanishes for speed c,
-    by safeguarded Newton in the width on an adaptive monotone bracket."""
+    by safeguarded Newton in the width on an open-ended monotone bracket."""
     require_regime(p, RegimeTag.PULSE)
     if c <= 0:
         raise RegimeError(f"speed must be positive, got {c}")
-    return _width_root(c, p)[0]
+    return _width_root(char_roots(c, p.gamma), p)[0]
 
 
 def pulse_speed(p: Params) -> PulseResult:
@@ -182,6 +189,7 @@ def pulse_speed(p: Params) -> PulseResult:
     its zero is unique.  Its exact derivative follows from the implicit
     width l*(c): dg/dc = J_c - J_l Q_c / Q_l.  Each inner width solve starts
     from the previous width, moved along the tangent dl*/dc = -Q_c / Q_l.
+    Each evaluation of g builds the roots of its speed once.
     """
     require_regime(p, RegimeTag.PULSE)
     prev = None  # speed, width and dl*/dc of the previous evaluation
@@ -194,11 +202,12 @@ def pulse_speed(p: Params) -> PulseResult:
             start = ell0 + slope0 * (c - c0)
             if start <= 0.0:
                 start = ell0
-        ell, q = _width_root(c, p, start)
+        roots = char_roots(c, p.gamma)
+        ell, q = _width_root(roots, p, start)
         dl_dc = -q.d_speed / q.d_width
         prev = (c, ell, dl_dc)
-        je = interval_energy(ell, c, p)
-        return je.value, je.d_speed + je.d_width * dl_dc, (ell, je, q)
+        je = interval_energy_at(ell, roots, p)
+        return je.value, je.d_speed + je.d_width * dl_dc, (ell, je, q, roots)
 
     lo = 1e-3
     while g(lo)[0] <= 0.0:  # pragma: no cover - g -> sqrt(2)/6 as c -> 0
@@ -212,7 +221,7 @@ def pulse_speed(p: Params) -> PulseResult:
         if hi > 1e9:
             raise BracketError("pulse-speed bracket expansion failed")
 
-    c, (ell, je, q) = _newton_root(g, lo, hi, hi, g_hi)
+    c, (ell, je, q, roots) = _newton_root(g, lo, hi, hi, g_hi)
     b = -math.log(1.0 - math.exp(-ell))
     a = b - ell
     residuals = {
@@ -221,16 +230,16 @@ def pulse_speed(p: Params) -> PulseResult:
         "Q": abs(q.value),
     }
     result = PulseResult(c_p=c, ell_p=ell, a=a, b=b, residuals=residuals)
-    _check_pulse(result, p)
+    _check_pulse(result, roots, p)
     return result
 
 
-def _check_pulse(result: PulseResult, p: Params) -> None:
+def _check_pulse(result: PulseResult, roots: CharRoots, p: Params) -> None:
     if result.ell_p <= math.log((p.alpha + 1.0) / (p.alpha - 1.0)):
         raise BracketError(  # pragma: no cover - defensive
             f"pulse width {result.ell_p} below its structural lower bound"
         )
-    if scaled_width_curvature(result.ell_p, result.c_p, p) <= 0.0:
+    if scaled_width_curvature(result.ell_p, roots, p) <= 0.0:
         raise BracketError(  # pragma: no cover - defensive
             "pulse solution is not a width minimum"
         )

@@ -237,3 +237,18 @@ def test_config_value_of_wrong_type_is_invalid_input(alpha, tmp_path, capsys):
     cfg.write_text(json.dumps({"alpha": alpha, "gamma": 1, "sigma": 1}))
     assert run(["classify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_config_boolean_is_invalid_input(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": True, "gamma": 1, "sigma": 1}))
+    assert run(["classify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 2, "gamma": 1, "sigma": 1,
+                               "epsilon": 0.04, "c": 2.3, "max_iter": 2.9}))
+    assert run(["minimize", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

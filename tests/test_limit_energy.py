@@ -63,6 +63,19 @@ def test_interval_energy_derivatives_match_finite_differences():
                                            abs=1e-10)
 
 
+@pytest.mark.parametrize("gamma", [0.05, 1.0, 20.0])
+def test_interval_energy_speed_derivative_from_the_roots(gamma):
+    # (c^2 + 4 gamma)^{-3/2} is formed from the roots as dr1_dc H^2 / (2 gamma)
+    p = Params(2.0, gamma, 1.0)
+    for c in np.geomspace(1e-3, 1e2, 101):
+        c = float(c)
+        for ell in (1e-3, 0.5, 3.0, 20.0, 300.0, math.inf):
+            ref = (2.0 * p.sigma / (c * c + 4.0 * gamma) ** 1.5
+                   * speed_derivative_factor(ell, c, gamma))
+            d_speed = interval_energy(ell, c, p).d_speed
+            assert d_speed == pytest.approx(ref, rel=8 * np.finfo(float).eps)
+
+
 def test_width_derivative_identity_chain():
     # e^ell * dJ/dell == (sigma/2gamma)(1+H)(1 - e^{-r2 ell})
     #                    - (sqrt2/12)(alpha+1)

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fhn_gamma import wave_speeds
+from fhn_gamma import limit_energy, wave_speeds
 from fhn_gamma.errors import RegimeError
-from fhn_gamma.limit_energy import front_energy, interval_energy, width_condition
+from fhn_gamma.limit_energy import (
+    front_energy,
+    interval_energy,
+    width_condition,
+    width_condition_at,
+)
 from fhn_gamma.model import SQRT2, Params
 from fhn_gamma.wave_speeds import (
     FrontResult,
@@ -234,7 +239,17 @@ def test_pulse_speed_near_alpha_one():
 
 
 def test_pulse_speed_call_counts(monkeypatch):
+    # the roots are counted where the solve builds them and where the
+    # limit-energy wrappers would: one set per distinct speed, and no more
+    # width or energy evaluations than when every evaluation built its own
+    speeds = []
     calls = {"width": 0, "energy": 0}
+
+    def roots_counted(fn):
+        def wrapper(c, gamma):
+            speeds.append(c)
+            return fn(c, gamma)
+        return wrapper
 
     def counted(key, fn):
         def wrapper(*args):
@@ -242,14 +257,37 @@ def test_pulse_speed_call_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(wave_speeds, "width_condition",
-                        counted("width", wave_speeds.width_condition))
-    monkeypatch.setattr(wave_speeds, "interval_energy",
-                        counted("energy", wave_speeds.interval_energy))
+    monkeypatch.setattr(wave_speeds, "char_roots",
+                        roots_counted(wave_speeds.char_roots))
+    monkeypatch.setattr(limit_energy, "char_roots",
+                        roots_counted(limit_energy.char_roots))
+    monkeypatch.setattr(wave_speeds, "width_condition_at",
+                        counted("width", wave_speeds.width_condition_at))
+    monkeypatch.setattr(wave_speeds, "interval_energy_at",
+                        counted("energy", wave_speeds.interval_energy_at))
     result = pulse_speed(PULSE)
     assert result.c_p == pytest.approx(C_P_ORACLE, rel=1e-12)
-    assert calls["width"] <= 70
-    assert calls["energy"] <= 15
+    assert len(speeds) == len(set(speeds)) == calls["energy"] <= 10
+    assert 0 < calls["width"] <= 66
+
+
+def test_optimal_width_from_the_left_of_the_root(monkeypatch):
+    # Newton from a start left of the root sees no negative condition, so
+    # the bracket stays open on the right; it must still reach the root
+    values = []
+
+    def recorded(ell, roots, p):
+        q = width_condition_at(ell, roots, p)
+        values.append(q.value)
+        return q
+
+    monkeypatch.setattr(wave_speeds, "width_condition_at", recorded)
+    for c in (2.33, 7.0, 30.0):
+        values.clear()
+        ell = optimal_width(c, PULSE)
+        assert values[1] > 0.0  # the start, after the check at 1e-8
+        assert min(values) > -1e-12
+        assert abs(width_condition(ell, c, PULSE).value) <= 1e-12
 
 
 def test_pulse_speed_wrong_regime():
