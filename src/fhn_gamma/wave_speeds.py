@@ -3,18 +3,30 @@
 The front speed has a closed form.  The pulse speed solves a nested pair of
 monotone scalar equations, each by safeguarded Newton: Newton steps on the
 closed-form derivatives, with a step to the bracket's geometric mean
-whenever a Newton step would leave the current sign bracket.  The inner
-level finds the optimal width, the root in the width of the width
-condition Q (strictly decreasing and convex in the width).  Its bracket
-starts as [1e-8, inf): Newton from a point left of the root moves right
-monotonically and never closes it, so no probe looks for a negative Q
-first, and a step out of the open bracket doubles its left end.  The outer
-level drives the interval energy along the optimal-width path,
+whenever a Newton step would leave the current sign bracket.  Both levels
+start from bracket ends known in closed form, so no probe searches for a
+sign change.
+
+The inner level finds the optimal width, the root in the width of the
+width condition Q (strictly decreasing and convex in the width).  Its
+bracket is [l0, inf) with l0 = sqrt(2) gamma (1 + alpha) / (12 sigma r2):
+since 1 - e^{-x} < x for x > 0 and the (alpha - 1) / (1 - e^{r1 l}) term
+of Q is positive for alpha > 1, Q(l) > l0 / l - 1 >= 0 for every l <= l0,
+so l0 lies left of the root without being evaluated.
+Newton from a point left of the root moves right monotonically and never
+closes the bracket, and a step out of the open bracket doubles its left
+end.
+
+The outer level drives the interval energy along the optimal-width path,
 g(c) = J(l*(c), c), to zero; g is strictly decreasing, and its exact
-derivative is J_c - J_l Q_c / Q_l.  Both levels see the speed only through
-the decay rates, so each speed's ``CharRoots`` is built once and shared by
-every width evaluation, the energy and the final checks.  The finite-width
-speed solve (``speed_eps``) uses the same ``_newton_root``.
+derivative is J_c - J_l Q_c / Q_l.  The interval energy tends to the front
+energy as the width grows, so g is at most the front energy at every
+speed, and the front energy's root c_bar (the closed form of
+``front_speed``) bounds the pulse speed from above.  Both levels see the
+speed only through the decay rates, so each speed's ``CharRoots`` is built
+once and shared by every width evaluation, the energy and the final
+checks.  The finite-width speed solve (``speed_eps``) uses the same
+``_newton_root``.
 """
 
 from __future__ import annotations
@@ -97,12 +109,21 @@ def front_condition(c: float, p: Params) -> bool:
     return SQRT2 * p.gamma / (6.0 * p.sigma) >= speed_ratio(c, p.gamma)
 
 
+def _front_energy_root(p: Params) -> tuple[float, float]:
+    """h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma) and the root of the
+    front energy, 2 h* sqrt(gamma) / sqrt(1 - h*^2): the front speed in
+    the front regime, an upper bound on the pulse speed in the pulse
+    regime."""
+    h_star = 1.0 - (p.alpha - 1.0) * p.gamma / (3.0 * SQRT2 * p.sigma)
+    c = 2.0 * h_star * math.sqrt(p.gamma) / math.sqrt(1.0 - h_star * h_star)
+    return h_star, c
+
+
 def front_speed(p: Params) -> FrontResult:
     """Closed-form front speed c_f = 2 h* sqrt(gamma) / sqrt(1 - h*^2) with
     h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma)."""
     regime = require_regime(p, RegimeTag.FRONT)
-    h_star = 1.0 - (p.alpha - 1.0) * p.gamma / (3.0 * SQRT2 * p.sigma)
-    c_f = 2.0 * h_star * math.sqrt(p.gamma) / math.sqrt(1.0 - h_star * h_star)
+    h_star, c_f = _front_energy_root(p)
     residual = abs(front_energy(c_f, p).value)
     if not front_condition(c_f, p):  # pragma: no cover - excluded by regime
         raise RegimeError("front speed violates the semi-infinite optimality condition")
@@ -149,13 +170,17 @@ def _width_root(roots: CharRoots, p: Params, ell_start: float | None = None):
     The condition decreases strictly from +inf to a negative limit in the
     pulse regime and is convex, so Newton started left of the root climbs
     to it monotonically, and a step from right of the root lands left of
-    it.  Newton runs on the bracket [1e-8, inf), open on the right until a
-    negative condition is seen; it starts from ``ell_start`` when given,
-    else from just above the structural bound log((alpha + 1) / (alpha - 1)).
+    it.  Newton runs on the bracket [l0, inf), open on the right until a
+    negative condition is seen, with l0 = sqrt(2) gamma (1 + alpha) /
+    (12 sigma r2) left of the root by proof, not by evaluation:
+    1 - e^{-r2 l} < r2 l and (alpha - 1) / (1 - e^{r1 l}) > 0 give
+    Q(l) > sqrt(2) gamma (1 + alpha) / (12 sigma r2 l) - 1 >= 0 for
+    l <= l0.  Newton starts from ``ell_start`` when given, else from just
+    above the structural bound log((alpha + 1) / (alpha - 1)), and from l0
+    if that start lies left of it.
     """
-    lo, hi = 1e-8, math.inf
-    if width_condition_at(lo, roots, p).value <= 0.0:  # pragma: no cover - defensive
-        raise BracketError(f"no positive bracket end at width {lo}")
+    lo = SQRT2 * p.gamma * (1.0 + p.alpha) / (12.0 * p.sigma * roots.r2)
+    hi = math.inf
 
     def f(ell):
         q = width_condition_at(ell, roots, p)
@@ -163,7 +188,7 @@ def _width_root(roots: CharRoots, p: Params, ell_start: float | None = None):
             raise BracketError("optimal-width bracket expansion failed")
         return q.value, q.d_width, q
 
-    start = ell_start or math.log((p.alpha + 1.0) / (p.alpha - 1.0)) + 1.0
+    start = max(lo, ell_start or math.log((p.alpha + 1.0) / (p.alpha - 1.0)) + 1.0)
     fx = f(start)
     if fx[0] > 0.0:
         lo = start
@@ -190,6 +215,15 @@ def pulse_speed(p: Params) -> PulseResult:
     width l*(c): dg/dc = J_c - J_l Q_c / Q_l.  Each inner width solve starts
     from the previous width, moved along the tangent dl*/dc = -Q_c / Q_l.
     Each evaluation of g builds the roots of its speed once.
+
+    The bracket's upper end is the front energy's root c_bar, with no
+    probe: J(l, c) tends to the front energy as l -> inf, so g(c) =
+    min_l J(l, c) is at most the front energy, which vanishes at c_bar;
+    hence g(c_bar) <= 0 and c_p <= c_bar.  Newton starts at c_bar, and
+    stops there if g(c_bar) = 0.  Where the pulse is wide, c_p equals c_bar
+    to rounding, and g(c_bar) can come out positive; the bracket is then
+    (c_bar, inf), open on the right.  The lower end is the first of 1e-3,
+    1e-4, ... at which g is positive.
     """
     require_regime(p, RegimeTag.PULSE)
     prev = None  # speed, width and dl*/dc of the previous evaluation
@@ -210,19 +244,18 @@ def pulse_speed(p: Params) -> PulseResult:
         return je.value, je.d_speed + je.d_width * dl_dc, (ell, je, q, roots)
 
     lo = 1e-3
-    while g(lo)[0] <= 0.0:  # pragma: no cover - g -> sqrt(2)/6 as c -> 0
+    while g(lo)[0] <= 0.0:  # g -> sqrt(2)/6 as c -> 0; c_p < 1e-3 at small widths
         lo *= 0.1
         if lo < 1e-12:
             raise BracketError("no positive bracket end for the pulse speed")
-    hi = max(1.0, 2.0 * lo)
-    while (g_hi := g(hi))[0] >= 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise BracketError("pulse-speed bracket expansion failed")
-
-    c, (ell, je, q, roots) = _newton_root(g, lo, hi, hi, g_hi)
-    b = -math.log(1.0 - math.exp(-ell))
+    c_bar = _front_energy_root(p)[1]
+    g_bar = g(c_bar)
+    if g_bar[0] > 0.0:
+        lo, hi = c_bar, math.inf
+    else:
+        hi = c_bar
+    c, (ell, je, q, roots) = _newton_root(g, lo, hi, c_bar, g_bar)
+    b = -math.log(-math.expm1(-ell))
     a = b - ell
     residuals = {
         "J": abs(je.value),
@@ -243,7 +276,7 @@ def _check_pulse(result: PulseResult, roots: CharRoots, p: Params) -> None:
         raise BracketError(  # pragma: no cover - defensive
             "pulse solution is not a width minimum"
         )
-    if abs(math.exp(result.b) - math.exp(result.a) - 1.0) > 1e-12:
+    if abs(-math.exp(result.b) * math.expm1(-result.ell_p) - 1.0) > 1e-12:
         raise BracketError(  # pragma: no cover - defensive
             "pulse interval is not normalized to unit weighted measure"
         )

@@ -12,6 +12,7 @@ from fhn_gamma.limit_energy import (
     width_condition_at,
 )
 from fhn_gamma.model import SQRT2, Params
+from fhn_gamma.nonlocal_operator import char_roots
 from fhn_gamma.wave_speeds import (
     FrontResult,
     PulseResult,
@@ -171,6 +172,12 @@ def _pulse_points():
     return points
 
 
+def _front_energy_root(p):
+    """Root of the front energy, 2 h* sqrt(gamma) / sqrt(1 - h*^2)."""
+    h_star = 1.0 - (p.alpha - 1.0) * p.gamma / (3.0 * SQRT2 * p.sigma)
+    return 2.0 * h_star * math.sqrt(p.gamma) / math.sqrt(1.0 - h_star**2)
+
+
 def _scaled_system(ell, c, p):
     """Interval energy J and e^ell dJ/dell, from the closed forms: the
     scaled width derivative keeps its size where e^-ell underflows."""
@@ -226,6 +233,10 @@ def test_pulse_speed_across_the_regime(point):
     # toward alpha = 3 sqrt(2) sigma / gamma the energy flattens in the width:
     # widths 4e-10 apart there both leave residuals at rounding level
     assert result.ell_p == pytest.approx(ell_n, rel=1e-8)
+    # g(c) = min_l J(l, c) is at most the front energy, the limit of J as
+    # l -> inf, so the front energy's root bounds the pulse speed; at the
+    # wide pulses the two agree to rounding
+    assert result.c_p <= _front_energy_root(p) * (1.0 + 1e-12)
 
 
 def test_pulse_speed_near_alpha_one():
@@ -267,8 +278,8 @@ def test_pulse_speed_call_counts(monkeypatch):
                         counted("energy", wave_speeds.interval_energy_at))
     result = pulse_speed(PULSE)
     assert result.c_p == pytest.approx(C_P_ORACLE, rel=1e-12)
-    assert len(speeds) == len(set(speeds)) == calls["energy"] <= 10
-    assert 0 < calls["width"] <= 66
+    assert len(speeds) == len(set(speeds)) == calls["energy"] <= 6
+    assert 0 < calls["width"] <= 25
 
 
 def test_optimal_width_from_the_left_of_the_root(monkeypatch):
@@ -285,9 +296,53 @@ def test_optimal_width_from_the_left_of_the_root(monkeypatch):
     for c in (2.33, 7.0, 30.0):
         values.clear()
         ell = optimal_width(c, PULSE)
-        assert values[1] > 0.0  # the start, after the check at 1e-8
+        assert values[0] > 0.0  # the start: the left end is not evaluated
         assert min(values) > -1e-12
         assert abs(width_condition(ell, c, PULSE).value) <= 1e-12
+
+
+def test_width_condition_positive_at_the_left_bracket_end():
+    # l0 = sqrt(2) gamma (1 + alpha) / (12 sigma r2) lies left of the
+    # optimal width at every speed in the pulse regime
+    for gamma, sigma in ((0.05, 0.5), (1.0, 1.0), (20.0, 5.0)):
+        top = 3.0 * SQRT2 * sigma / gamma
+        for alpha in (1.0 + 1e-6, 1.001, 1.1, 0.5 * (1.0 + top),
+                      top * (1.0 - 1e-4), top * (1.0 - 1e-9)):
+            p = Params(alpha, gamma, sigma)
+            for c in np.geomspace(1e-3, 1e2, 41):
+                roots = char_roots(float(c), gamma)
+                ell0 = SQRT2 * gamma * (1.0 + alpha) / (12.0 * sigma * roots.r2)
+                assert width_condition_at(ell0, roots, p).value > 0.0
+
+
+def test_pulse_speeds_evaluated_across_the_regime(monkeypatch):
+    # one set of roots per speed evaluated: with the front energy's root as
+    # the start, wide pulses take the open bracket (c_bar, inf) and stop
+    # after a step or two
+    speeds = []
+
+    def counted(c, gamma):
+        speeds.append(c)
+        return char_roots(c, gamma)
+
+    monkeypatch.setattr(wave_speeds, "char_roots", counted)
+    for point in _pulse_points():
+        pulse_speed(Params(*point))
+    assert len(speeds) <= 120
+
+
+@pytest.mark.parametrize("point", [(1e5, 1.0, 1e5), (1e6, 1.0, 1e6)])
+def test_pulse_speed_at_small_widths(point):
+    # l_p ~ 4e-5 and 4e-6: 1 - e^{-l} and e^b - e^a - 1 cancel there, so the
+    # endpoints and the normalization check go through expm1
+    p = Params(*point)
+    result = pulse_speed(p)
+    assert result.ell_p < 1e-4
+    assert abs(-math.exp(result.b) * math.expm1(-result.ell_p) - 1.0) <= 1e-12
+    assert result.residuals["J"] <= 1e-10
+    assert result.residuals["Q"] <= 1e-10
+    assert abs(interval_energy(result.ell_p, result.c_p, p).value) <= 1e-10
+    assert abs(width_condition(result.ell_p, result.c_p, p).value) <= 1e-10
 
 
 def test_pulse_speed_wrong_regime():
