@@ -2,31 +2,39 @@
 
 The front speed has a closed form.  The pulse speed solves a nested pair of
 monotone scalar equations, each by safeguarded Newton: Newton steps on the
-closed-form derivatives, with a step to the bracket's geometric mean
-whenever a Newton step would leave the current sign bracket.  Both levels
-start from bracket ends known in closed form, so no probe searches for a
-sign change.
+closed-form derivatives, with a step to the bracket's geometric mean (its
+midpoint when the left end is 0) whenever a Newton step would leave the
+current sign bracket.  Both levels start from bracket ends known in closed
+form, so no evaluation is spent on a bracket.
 
 The inner level finds the optimal width, the root in the width of the
-width condition Q (strictly decreasing and convex in the width).  Its
-bracket is [l0, inf) with l0 = sqrt(2) gamma (1 + alpha) / (12 sigma r2):
-since 1 - e^{-x} < x for x > 0 and the (alpha - 1) / (1 - e^{r1 l}) term
-of Q is positive for alpha > 1, Q(l) > l0 / l - 1 >= 0 for every l <= l0,
-so l0 lies left of the root without being evaluated.
-Newton from a point left of the root moves right monotonically and never
-closes the bracket, and a step out of the open bracket doubles its left
-end.
+width condition Q (strictly decreasing and convex in the width), with
+s = sqrt(2) gamma / (12 sigma)
+
+    Q(l) = s [(1 + alpha) / (1 - e^{-r2 l}) + (alpha - 1) / (1 - e^{r1 l})] - 1.
+
+Its bracket is [l_-, inf) with l_- = log1p(s (1 + alpha) / (1 - 2 alpha s)) / r2:
+since 0 < e^{r1 l} < 1, the second term exceeds alpha - 1, so Q(l) > Q~(l)
+= s [(1 + alpha) / (1 - e^{-r2 l}) + alpha - 1] - 1, which decreases
+strictly and vanishes at l_-.  Hence Q > 0 on (0, l_-], and l_- lies left
+of the root without being evaluated.  (Where e^{r1 l_-} is below rounding,
+l_- is the root to rounding, and the computed Q there can read a few ulps
+below 0; a solve started there stops there.)  1 - 2 alpha s = -Q(inf) is
+the pulse regime's margin, positive exactly when alpha < 3 sqrt(2) sigma /
+gamma.  Newton from a point left of the root moves right monotonically and
+never closes the bracket, and a step out of the open bracket doubles its
+left end.
 
 The outer level drives the interval energy along the optimal-width path,
-g(c) = J(l*(c), c), to zero; g is strictly decreasing, and its exact
-derivative is J_c - J_l Q_c / Q_l.  The interval energy tends to the front
-energy as the width grows, so g is at most the front energy at every
-speed, and the front energy's root c_bar (the closed form of
-``front_speed``) bounds the pulse speed from above.  Both levels see the
-speed only through the decay rates, so each speed's ``CharRoots`` is built
-once and shared by every width evaluation, the energy and the final
-checks.  The finite-width speed solve (``speed_eps``) uses the same
-``_newton_root``.
+g(c) = J(l*(c), c), to zero; g is strictly decreasing from g(0+) =
+sqrt(2)/6, and its exact derivative is J_c - J_l Q_c / Q_l.  The interval
+energy tends to the front energy as the width grows, so g is at most the
+front energy at every speed, and the front energy's root c_bar (the closed
+form of ``front_speed``) bounds the pulse speed from above.  So (0, c_bar]
+brackets the pulse speed.  Both levels see the speed only through the
+decay rates, so each speed's ``CharRoots`` is built once and shared by
+every width evaluation, the energy and the final checks.  The finite-width
+speed solve (``speed_eps``) uses the same ``_newton_root``.
 """
 
 from __future__ import annotations
@@ -77,7 +85,9 @@ class FrontResult:
 @dataclass(frozen=True)
 class PulseResult:
     """Pulse speed and geometry: interval [a, b] of width ell_p carrying unit
-    weighted measure."""
+    weighted measure.  ``ell_p`` is the solved width; b - a carries it only
+    to a relative error of about ulp(b) / ell_p, which matters for narrow
+    pulses far to the right."""
 
     c_p: float
     ell_p: float
@@ -133,18 +143,17 @@ def front_speed(p: Params) -> FrontResult:
 
 def _newton_root(f, lo: float, hi: float, x: float, fx, *,
                  xtol: float = NEWTON_XTOL, ftol: float = 0.0):
-    """Root of a strictly decreasing f on the positive bracket
-    0 < lo < root < hi.
+    """Root of a strictly decreasing f on the bracket 0 <= lo < root < hi.
 
     ``f(x)`` returns (value, slope, data) and ``fx`` is f at the starting
     point x.  Each evaluation moves the bracket end of its sign to x.  A
     Newton step that leaves the bracket is replaced by the bracket's
-    geometric mean.  Stops at the first evaluated point whose |value| is at
-    most ``ftol`` or whose Newton step is at most ``xtol`` relative (to
-    max(1, |x|)), or when the bracket is that narrow; returns that point and
-    its data.  The right end may be inf, an open bracket: a step that
-    leaves it then goes to twice the left end, and the bracket-width test
-    waits for a finite right end.
+    geometric mean, or by hi / 2 while lo is 0.  Stops at the first
+    evaluated point whose |value| is at most ``ftol`` or whose Newton step
+    is at most ``xtol`` relative (to max(1, |x|)), or when the bracket is
+    that narrow; returns that point and its data.  The right end may be
+    inf, an open bracket: a step that leaves it then goes to twice the left
+    end, and the bracket-width test waits for a finite right end.
     """
     value, slope, data = fx
     while abs(value) > ftol:
@@ -154,7 +163,12 @@ def _newton_root(f, lo: float, hi: float, x: float, fx, *,
             break
         x = x - step
         if not lo < x < hi:
-            x = math.sqrt(lo * hi) if hi < math.inf else 2.0 * lo
+            if hi == math.inf:
+                x = 2.0 * lo
+            elif lo > 0.0:
+                x = math.sqrt(lo * hi)
+            else:
+                x = 0.5 * hi
         value, slope, data = f(x)
         if value > 0.0:
             lo = x
@@ -163,23 +177,40 @@ def _newton_root(f, lo: float, hi: float, x: float, fx, *,
     return x, data
 
 
-def _width_root(roots: CharRoots, p: Params, ell_start: float | None = None):
+def _width_left_scale(p: Params) -> float:
+    """s (1 + alpha) / (1 - 2 alpha s) with s = sqrt(2) gamma / (12 sigma),
+    so that the width bracket's left end is its log1p over r2.
+
+    1 - 2 alpha s = -Q(inf) is the pulse regime's margin.  It is positive
+    in exact arithmetic, but rounds to 0 at the float just below the
+    regime's upper edge alpha = 3 sqrt(2) sigma / gamma, where no width
+    solve is possible: raises ``BracketError`` there.
+    """
+    s = SQRT2 * p.gamma / (12.0 * p.sigma)
+    margin = 1.0 - 2.0 * p.alpha * s
+    if margin <= 0.0:
+        raise BracketError(
+            f"alpha={p.alpha} lies at the pulse regime's upper edge "
+            f"3 sqrt(2) sigma / gamma to rounding: -Q(inf) = 1 - 2 alpha s "
+            f"rounds to {margin}, so the width condition has no root"
+        )
+    return s * (1.0 + p.alpha) / margin
+
+
+def _width_root(roots: CharRoots, p: Params, scale: float,
+                ell_start: float | None = None):
     """Optimal width at the speed whose roots are given, with the width
-    condition evaluated there.
+    condition evaluated there; ``scale`` is ``_width_left_scale(p)``.
 
     The condition decreases strictly from +inf to a negative limit in the
     pulse regime and is convex, so Newton started left of the root climbs
     to it monotonically, and a step from right of the root lands left of
-    it.  Newton runs on the bracket [l0, inf), open on the right until a
-    negative condition is seen, with l0 = sqrt(2) gamma (1 + alpha) /
-    (12 sigma r2) left of the root by proof, not by evaluation:
-    1 - e^{-r2 l} < r2 l and (alpha - 1) / (1 - e^{r1 l}) > 0 give
-    Q(l) > sqrt(2) gamma (1 + alpha) / (12 sigma r2 l) - 1 >= 0 for
-    l <= l0.  Newton starts from ``ell_start`` when given, else from just
-    above the structural bound log((alpha + 1) / (alpha - 1)), and from l0
-    if that start lies left of it.
+    it.  Newton runs on the bracket [l_-, inf), open on the right until a
+    negative condition is seen, with l_- = log1p(scale) / r2 left of the
+    root by proof, not by evaluation (module docstring).  Newton starts
+    from ``ell_start`` when given and right of l_-, else from l_-.
     """
-    lo = SQRT2 * p.gamma * (1.0 + p.alpha) / (12.0 * p.sigma * roots.r2)
+    lo = math.log1p(scale) / roots.r2
     hi = math.inf
 
     def f(ell):
@@ -188,7 +219,7 @@ def _width_root(roots: CharRoots, p: Params, ell_start: float | None = None):
             raise BracketError("optimal-width bracket expansion failed")
         return q.value, q.d_width, q
 
-    start = max(lo, ell_start or math.log((p.alpha + 1.0) / (p.alpha - 1.0)) + 1.0)
+    start = lo if ell_start is None else max(lo, ell_start)
     fx = f(start)
     if fx[0] > 0.0:
         lo = start
@@ -203,29 +234,32 @@ def optimal_width(c: float, p: Params) -> float:
     require_regime(p, RegimeTag.PULSE)
     if c <= 0:
         raise RegimeError(f"speed must be positive, got {c}")
-    return _width_root(char_roots(c, p.gamma), p)[0]
+    return _width_root(char_roots(c, p.gamma), p, _width_left_scale(p))[0]
 
 
 def pulse_speed(p: Params) -> PulseResult:
     """Pulse speed and width from nested safeguarded Newton.
 
     The path energy g(c) = J(l*(c), c), with l*(c) the optimal width,
-    decreases strictly in c from sqrt(2)/6 at rest to a negative limit, so
+    decreases strictly in c from g(0+) = sqrt(2)/6 to a negative limit, so
     its zero is unique.  Its exact derivative follows from the implicit
     width l*(c): dg/dc = J_c - J_l Q_c / Q_l.  Each inner width solve starts
-    from the previous width, moved along the tangent dl*/dc = -Q_c / Q_l.
-    Each evaluation of g builds the roots of its speed once.
+    from the previous width, moved along the tangent dl*/dc = -Q_c / Q_l,
+    or from the width bracket's left end if that lies further right.  Each
+    evaluation of g builds the roots of its speed once.
 
-    The bracket's upper end is the front energy's root c_bar, with no
-    probe: J(l, c) tends to the front energy as l -> inf, so g(c) =
+    The bracket is (0, c_bar], with no probe at either end.  The lower end
+    holds because g(0+) > 0.  The upper end is the front energy's root
+    c_bar: J(l, c) tends to the front energy as l -> inf, so g(c) =
     min_l J(l, c) is at most the front energy, which vanishes at c_bar;
     hence g(c_bar) <= 0 and c_p <= c_bar.  Newton starts at c_bar, and
-    stops there if g(c_bar) = 0.  Where the pulse is wide, c_p equals c_bar
-    to rounding, and g(c_bar) can come out positive; the bracket is then
-    (c_bar, inf), open on the right.  The lower end is the first of 1e-3,
-    1e-4, ... at which g is positive.
+    stops there if g(c_bar) = 0.  A Newton step below 0 goes to half the
+    right end instead, which only tiny speeds (c_p < 1e-3) need.  Where the
+    pulse is wide, c_p equals c_bar to rounding, and g(c_bar) can come out
+    positive; the bracket is then (c_bar, inf), open on the right.
     """
     require_regime(p, RegimeTag.PULSE)
+    scale = _width_left_scale(p)
     prev = None  # speed, width and dl*/dc of the previous evaluation
 
     def g(c: float):
@@ -234,26 +268,16 @@ def pulse_speed(p: Params) -> PulseResult:
         if prev:
             c0, ell0, slope0 = prev
             start = ell0 + slope0 * (c - c0)
-            if start <= 0.0:
-                start = ell0
         roots = char_roots(c, p.gamma)
-        ell, q = _width_root(roots, p, start)
+        ell, q = _width_root(roots, p, scale, start)
         dl_dc = -q.d_speed / q.d_width
         prev = (c, ell, dl_dc)
         je = interval_energy_at(ell, roots, p)
         return je.value, je.d_speed + je.d_width * dl_dc, (ell, je, q, roots)
 
-    lo = 1e-3
-    while g(lo)[0] <= 0.0:  # g -> sqrt(2)/6 as c -> 0; c_p < 1e-3 at small widths
-        lo *= 0.1
-        if lo < 1e-12:
-            raise BracketError("no positive bracket end for the pulse speed")
     c_bar = _front_energy_root(p)[1]
     g_bar = g(c_bar)
-    if g_bar[0] > 0.0:
-        lo, hi = c_bar, math.inf
-    else:
-        hi = c_bar
+    lo, hi = (c_bar, math.inf) if g_bar[0] > 0.0 else (0.0, c_bar)
     c, (ell, je, q, roots) = _newton_root(g, lo, hi, c_bar, g_bar)
     b = -math.log(-math.expm1(-ell))
     a = b - ell

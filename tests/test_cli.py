@@ -32,6 +32,18 @@ def test_pulse_speed_wrong_regime_exit_code(capsys):
     assert "regime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pulse-speed", "--alpha", "4.242640687119285", "--gamma", "1",
+     "--sigma", "1"],
+    ["sweep", "--alpha-range", "4.242640687119285:4.242640687119285:1"],
+])
+def test_pulse_at_the_upper_alpha_edge_exit_code(argv, capsys):
+    # the float just below 3 sqrt(2): a pulse by classification at
+    # (gamma, sigma) = (1, 1), with no width solve possible in floating point
+    assert run(argv) == 3
+    assert "upper edge" in capsys.readouterr().err
+
+
 def test_missing_parameter_exit_code(capsys):
     assert run(["front-speed", "--alpha", "5"]) == 2
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fhn_gamma import limit_energy, wave_speeds
-from fhn_gamma.errors import RegimeError
+from fhn_gamma.errors import BracketError, RegimeError
 from fhn_gamma.limit_energy import (
     front_energy,
     interval_energy,
@@ -278,8 +278,17 @@ def test_pulse_speed_call_counts(monkeypatch):
                         counted("energy", wave_speeds.interval_energy_at))
     result = pulse_speed(PULSE)
     assert result.c_p == pytest.approx(C_P_ORACLE, rel=1e-12)
-    assert len(speeds) == len(set(speeds)) == calls["energy"] <= 6
-    assert 0 < calls["width"] <= 25
+    assert len(speeds) == len(set(speeds)) == calls["energy"] <= 4
+    assert 0 < calls["width"] <= 12
+
+
+def _width_left_end(c, p):
+    """l_- = log1p(s (1 + alpha) / (1 - 2 alpha s)) / r2 with
+    s = sqrt(2) gamma / (12 sigma), the root of the lower bound
+    Q~(l) = s [(1 + alpha) / (1 - e^{-r2 l}) + alpha - 1] - 1 < Q(l)."""
+    s = SQRT2 * p.gamma / (12.0 * p.sigma)
+    return (math.log1p(s * (1.0 + p.alpha) / (1.0 - 2.0 * p.alpha * s))
+            / char_roots(c, p.gamma).r2)
 
 
 def test_optimal_width_from_the_left_of_the_root(monkeypatch):
@@ -293,17 +302,27 @@ def test_optimal_width_from_the_left_of_the_root(monkeypatch):
         return q
 
     monkeypatch.setattr(wave_speeds, "width_condition_at", recorded)
-    for c in (2.33, 7.0, 30.0):
+    for c in (0.5, 1.0, 2.33, 7.0):
         values.clear()
         ell = optimal_width(c, PULSE)
-        assert values[0] > 0.0  # the start: the left end is not evaluated
+        assert values[0] > 0.0  # the start: the left end l_-
         assert min(values) > -1e-12
         assert abs(width_condition(ell, c, PULSE).value) <= 1e-12
+        if c <= 1.0:
+            # several Newton steps from the left, all in the open bracket
+            assert len(values) >= 5
+    # at large speeds e^{r1 l_-} is below rounding against 1, so Q(l_-)
+    # rounds to Q~(l_-) = 0: the cold start is the root
+    values.clear()
+    assert optimal_width(30.0, PULSE) == _width_left_end(30.0, PULSE)
+    assert values == [0.0]
 
 
 def test_width_condition_positive_at_the_left_bracket_end():
-    # l0 = sqrt(2) gamma (1 + alpha) / (12 sigma r2) lies left of the
-    # optimal width at every speed in the pulse regime
+    # l0 = sqrt(2) gamma (1 + alpha) / (12 sigma r2) and the tighter
+    # l_- >= l0 both lie left of the optimal width at every speed in the
+    # pulse regime
+    eps = np.finfo(float).eps
     for gamma, sigma in ((0.05, 0.5), (1.0, 1.0), (20.0, 5.0)):
         top = 3.0 * SQRT2 * sigma / gamma
         for alpha in (1.0 + 1e-6, 1.001, 1.1, 0.5 * (1.0 + top),
@@ -313,6 +332,19 @@ def test_width_condition_positive_at_the_left_bracket_end():
                 roots = char_roots(float(c), gamma)
                 ell0 = SQRT2 * gamma * (1.0 + alpha) / (12.0 * sigma * roots.r2)
                 assert width_condition_at(ell0, roots, p).value > 0.0
+                if alpha >= top:  # (20, 5) with alpha = 1.1: no pulse, no l_-
+                    continue
+                ell_minus = _width_left_end(float(c), p)
+                assert ell0 <= ell_minus
+                # Q(l_-) = Q(l_-) - Q~(l_-) = s (alpha - 1) e^{r1 l} /
+                # (1 - e^{r1 l}) > 0 exactly; where e^{r1 l_-} is below
+                # rounding, l_- is the root to rounding and the computed Q
+                # lands within a few ulps of 0 on either side
+                q = width_condition_at(ell_minus, roots, p).value
+                e1 = math.exp(roots.r1 * ell_minus)
+                gap = SQRT2 * gamma / (12.0 * sigma) * (alpha - 1.0) * e1 / (1.0 - e1)
+                assert q == pytest.approx(gap, rel=1e-12, abs=8.0 * eps)
+                assert q >= -4.0 * eps
 
 
 def test_pulse_speeds_evaluated_across_the_regime(monkeypatch):
@@ -328,7 +360,7 @@ def test_pulse_speeds_evaluated_across_the_regime(monkeypatch):
     monkeypatch.setattr(wave_speeds, "char_roots", counted)
     for point in _pulse_points():
         pulse_speed(Params(*point))
-    assert len(speeds) <= 120
+    assert len(speeds) <= 75
 
 
 @pytest.mark.parametrize("point", [(1e5, 1.0, 1e5), (1e6, 1.0, 1e6)])
@@ -343,6 +375,33 @@ def test_pulse_speed_at_small_widths(point):
     assert result.residuals["Q"] <= 1e-10
     assert abs(interval_energy(result.ell_p, result.c_p, p).value) <= 1e-10
     assert abs(width_condition(result.ell_p, result.c_p, p).value) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma, sigma", [(1.0, 1.0), (0.05, 0.5), (0.9, 1.65)])
+def test_pulse_speed_at_the_upper_alpha_edge(gamma, sigma):
+    # the float just below 3 sqrt(2) sigma / gamma classifies as a pulse,
+    # but 1 - sqrt(2) alpha gamma / (6 sigma) = -Q(inf) rounds to 0 there
+    alpha = math.nextafter(3.0 * SQRT2 * sigma / gamma, 0.0)
+    p = Params(alpha, gamma, sigma)
+    assert p.alpha < 3.0 * SQRT2 * sigma / gamma
+    with pytest.raises(BracketError, match="upper edge"):
+        pulse_speed(p)
+    with pytest.raises(BracketError, match="upper edge"):
+        optimal_width(1.0, p)
+
+
+def test_newton_root_halves_from_a_zero_left_end():
+    # f(x) = 1 - x^{1/4}: from x = 16 the Newton step lands at -16, outside
+    # (0, 16], so the next point is 16 / 2, not the geometric mean 0
+    points = []
+
+    def f(x):
+        points.append(x)
+        return 1.0 - x**0.25, -0.25 * x**-0.75, None
+
+    x, _ = wave_speeds._newton_root(f, 0.0, 16.0, 16.0, f(16.0))
+    assert points[1] == 8.0
+    assert x == pytest.approx(1.0, rel=1e-14)
 
 
 def test_pulse_speed_wrong_regime():
