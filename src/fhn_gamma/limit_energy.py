@@ -1,14 +1,17 @@
 """Scalar functions of the sharp-interface limit energy.
 
-The single-interval energy and its derivatives, its infinite-width (front)
-limit, the optimal-width condition and the auxiliary factor proving
-monotonicity in the speed are closed-form arithmetic in the decay exponents
-r1, r2 of the inhibitor equation.  The energy and the condition each have
-an ``*_at`` form that takes those roots (``CharRoots``), so a solver at a
-fixed speed builds them once.  The geometric energy of a union of
-intervals has exact perimeter and area sums; its nonlocal term is closed
-form for a single interval and a first-order finite-difference pairing for
-unions of two or more (ROADMAP item 5 is the closed form for unions).
+The single-interval energy J(l, c) and its derivatives, the optimal-width
+condition and the auxiliary factor proving monotonicity in the speed are
+closed-form arithmetic in the decay exponents r1, r2 of the inhibitor
+equation.  The energy and the condition each have an ``*_at`` form that
+takes those roots (``CharRoots``), so a solver at a fixed speed builds them
+once.  Widths range over (0, inf]: the front's set, the half-line
+(-inf, 0], is the interval of infinite width, and since e^{-inf} = 0 the
+finite formulas give its values, so the front energy is J(inf, c).  The
+geometric energy of a union of intervals has exact perimeter and area
+sums; its nonlocal term is closed form for a single interval and a
+first-order finite-difference pairing for unions of two or more (ROADMAP
+item 5 is the closed form for unions).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .model import SQRT2, Params
-from .nonlocal_operator import CharRoots, char_roots, lc_indicator, nonlocal_energy
+from .nonlocal_operator import CharRoots, char_roots, nonlocal_energy
 from .weighted_space import Grid, IntervalUnion, total_variation_e
 
 #: grid spacing of the finite-difference pairing of a union of intervals
@@ -30,36 +33,38 @@ def speed_ratio(c: float, gamma: float) -> float:
     """Normalized speed H(c) = ``char_roots(c, gamma).ratio``, strictly
     increasing from 0 at rest toward 1; equals the reciprocal of the root
     gap r2 - r1."""
-    if c < 0 or gamma <= 0:
+    if not (c >= 0 and gamma > 0):
         raise InvalidParameterError(f"need c >= 0, gamma > 0; got c={c}, gamma={gamma}")
     return char_roots(c, gamma).ratio if c > 0 else 0.0
-
-
-def speed_ratio_derivative(c: float, gamma: float) -> float:
-    """d/dc of the normalized speed: 4 gamma / (c^2 + 4 gamma)^{3/2} > 0."""
-    if c < 0 or gamma <= 0:
-        raise InvalidParameterError(f"need c >= 0, gamma > 0; got c={c}, gamma={gamma}")
-    return 4.0 * gamma / (c * c + 4.0 * gamma) ** 1.5
 
 
 def speed_derivative_factor(ell: float, c: float, gamma: float) -> float:
     """Auxiliary factor whose sign controls the speed-derivative of the
     interval energy: -1 - e^{-ell} + 2 e^{r1 ell} + (ell/H) e^{r1 ell}.
 
-    Vanishes at ell = 0, tends to -1 as ell -> inf, and is negative for
-    every positive width.
+    Vanishes at ell = 0, is -1 at ell = inf, and is negative for every
+    positive width.
     """
-    if ell < 0 or c <= 0:
-        raise InvalidParameterError(f"need ell >= 0 and c > 0, got ell={ell}, c={c}")
-    if math.isinf(ell):
-        return -1.0
+    if not ell >= 0:
+        raise InvalidParameterError(f"need ell >= 0, got ell={ell}")
     return _speed_factor(ell, char_roots(c, gamma))
 
 
 def _speed_factor(ell: float, roots: CharRoots) -> float:
-    """``speed_derivative_factor`` at a finite width, from the roots."""
+    """``speed_derivative_factor`` from the roots; its limit -1 at
+    ell = inf, where ell e^{r1 ell} would be inf * 0."""
+    if math.isinf(ell):
+        return -1.0
     return (-1.0 - math.exp(-ell)
             + (2.0 + ell / roots.ratio) * math.exp(roots.r1 * ell))
+
+
+def _nonlocal_term(ell: float, roots: CharRoots, p: Params) -> float:
+    """Nonlocal part of the interval energy, (sigma H / gamma)
+    (r2 + r1 e^{-ell} + e^{r1 ell}); at ell = inf, (sigma H / gamma) r2 =
+    2 sigma / (s (s + c)) with s = sqrt(c^2 + 4 gamma), free of cancellation."""
+    return (p.sigma * roots.ratio / p.gamma) * (
+        roots.r2 + roots.r1 * math.exp(-ell) + math.exp(roots.r1 * ell))
 
 
 class IntervalEnergy(NamedTuple):
@@ -76,17 +81,15 @@ class IntervalEnergy(NamedTuple):
 def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
     """Limit energy of a width-ell interval normalized to unit right endpoint
     weight, with first and second width derivatives and the speed derivative
-    (``interval_energy_at`` on the roots of speed c)."""
-    if ell <= 0 or c <= 0:
-        raise InvalidParameterError(f"need ell > 0 and c > 0, got ell={ell}, c={c}")
-    if math.isinf(ell):
-        fe = front_energy(c, p)
-        return IntervalEnergy(fe.value, 0.0, 0.0, fe.derivative)
+    (``interval_energy_at`` on the roots of speed c).  ell = inf gives the
+    front energy, with zero width derivatives."""
+    if not ell > 0:
+        raise InvalidParameterError(f"need ell > 0, got ell={ell}")
     return interval_energy_at(ell, char_roots(c, p.gamma), p)
 
 
 def interval_energy_at(ell: float, roots: CharRoots, p: Params) -> IntervalEnergy:
-    """``interval_energy`` at a finite width ell > 0 and the speed whose
+    """``interval_energy`` at a width 0 < ell <= inf and the speed whose
     roots are given.
 
     The speed derivative is computed through the auxiliary factor route:
@@ -101,7 +104,7 @@ def interval_energy_at(ell: float, roots: CharRoots, p: Params) -> IntervalEnerg
     value = (
         (SQRT2 / 12.0) * (1.0 - alpha)
         + (SQRT2 / 12.0) * (1.0 + alpha) * em
-        + (sigma * h / gamma) * (roots.r2 + r1 * em + e1)
+        + _nonlocal_term(ell, roots, p)
     )
     half = sigma / (2.0 * gamma)
     d_width = -(SQRT2 / 12.0) * (1.0 + alpha) * em - (1.0 + h) * half * (e1 - em)
@@ -128,13 +131,11 @@ class FrontEnergy:
 
 
 def front_energy(c: float, p: Params) -> FrontEnergy:
-    """Infinite-width limit of the interval energy,
-    sqrt(2)/12 (1 - alpha) + sigma (1 - H(c)) / (2 gamma); strictly
-    decreasing in c."""
-    h = speed_ratio(c, p.gamma)
-    value = (SQRT2 / 12.0) * (1.0 - p.alpha) + (p.sigma / (2.0 * p.gamma)) * (1.0 - h)
-    derivative = -(p.sigma / (2.0 * p.gamma)) * speed_ratio_derivative(c, p.gamma)
-    return FrontEnergy(value=value, derivative=derivative)
+    """The interval energy at infinite width, J(inf, c) =
+    sqrt(2)/12 (1 - alpha) + sigma (1 - H(c)) / (2 gamma), and its speed
+    derivative; strictly decreasing in c > 0."""
+    je = interval_energy_at(math.inf, char_roots(c, p.gamma), p)
+    return FrontEnergy(value=je.value, derivative=je.d_speed)
 
 
 class WidthCondition(NamedTuple):
@@ -154,10 +155,11 @@ def width_condition(ell: float, c: float, p: Params) -> WidthCondition:
     ell picks the optimal width: strictly decreasing in width, strictly
     increasing in speed.  Tends to +inf as ell -> 0+ and to
     sqrt(2) alpha gamma / (6 sigma) - 1 as ell -> inf.  ``width_condition_at``
-    on the roots of speed c.
+    on the roots of speed c; its own limit at ell = inf, where the speed
+    derivative's ell e^{-r2 ell} would be inf * 0.
     """
-    if ell <= 0 or c <= 0:
-        raise InvalidParameterError(f"need ell > 0 and c > 0, got ell={ell}, c={c}")
+    if not (ell > 0 and 0 < c < math.inf):
+        raise InvalidParameterError(f"need ell > 0 and 0 < c < inf, got ell={ell}, c={c}")
     if math.isinf(ell):
         scale = SQRT2 * p.gamma / (12.0 * p.sigma)
         return WidthCondition(scale * 2.0 * p.alpha - 1.0, 0.0, 0.0)
@@ -219,9 +221,8 @@ def sharp_interface_energy(
 
     if len(e.intervals) == 1:
         a, b = e.intervals[0]
-        ell = b - a  # inf when a = -inf
-        sol = lc_indicator(ell, c, p.gamma)
-        nonlocal_term = (p.sigma / 2.0) * math.exp(b) * sol.integral_over_support()
+        # ell = b - a is inf for the half-line
+        nonlocal_term = math.exp(b) * _nonlocal_term(b - a, char_roots(c, p.gamma), p)
     else:
         nonlocal_term = (p.sigma / 2.0) * _nonlocal_pairing_fd(e, c, p)
     return LimitEnergyBreakdown(

@@ -34,6 +34,8 @@ class Params:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.gamma, self.sigma, self.epsilon))):
+            raise InvalidParameterError(f"parameters must be finite, got {self}")
         if self.alpha <= 0 or self.gamma <= 0 or self.sigma <= 0:
             raise InvalidParameterError(
                 "alpha, gamma, sigma must be strictly positive, got "

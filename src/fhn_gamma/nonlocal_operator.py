@@ -44,9 +44,9 @@ def char_roots(c: float, gamma: float) -> CharRoots:
     r2 is computed in the cancellation-free form 2*gamma / (c*(c + s)) and
     r1 as -1 - r2, which enforces the sum identity to machine precision.
     """
-    if c <= 0 or gamma <= 0:
+    if not (0 < c < math.inf and 0 < gamma < math.inf):
         raise InvalidParameterError(
-            f"need c > 0 and gamma > 0, got c={c}, gamma={gamma}"
+            f"need 0 < c < inf and 0 < gamma < inf, got c={c}, gamma={gamma}"
         )
     s = math.sqrt(c * c + 4.0 * gamma)
     r2 = 2.0 * gamma / (c * (c + s))
@@ -67,7 +67,8 @@ class PiecewiseExpSolution:
 
     Regions: A1*e^{r1 x} for x >= 0; 1/gamma + A3*e^{r1 x} + A2*e^{r2 x}
     inside; a multiple of e^{r2 x} below -ell, evaluated in overflow-safe
-    product form.  ell = inf is stored as the limiting coefficients (A3 = 0).
+    product form.  ell may be inf, the half-line (-inf, 0]: the same
+    expressions give A3 = 0, and the region below -ell is empty.
     """
 
     roots: CharRoots
@@ -83,40 +84,26 @@ class PiecewiseExpSolution:
         out = np.empty_like(x)
         upper = x >= 0.0
         out[upper] = self.a1 * np.exp(r1 * x[upper])
-        if math.isinf(self.ell):
-            inner = ~upper
-            out[inner] = 1.0 / self.gamma + self.a2 * np.exp(r2 * x[inner])
-        else:
-            inner = (~upper) & (x >= -self.ell)
-            xi = x[inner]
-            denom = self.gamma * self.roots.gap
-            # a3 e^{r1 x} = (-r2/denom) e^{r1 (x+ell)}, whose exponent is <= 0
-            # inside; the product a3 * e^{r1 x} is 0 * inf once -r1 x > 709.8
-            out[inner] = (
-                1.0 / self.gamma
-                - (r2 / denom) * np.exp(r1 * (xi + self.ell))
-                + self.a2 * np.exp(r2 * xi)
-            )
-            below = x < -self.ell
-            # the response is (r1/(gamma (r2-r1))) (e^{r2 x} - e^{r2 (x+ell)});
-            # both exponents are <= 0 for x <= -ell.
-            xb = x[below]
-            out[below] = (r1 / (self.gamma * self.roots.gap)) * (
-                np.exp(r2 * xb) - np.exp(r2 * (xb + self.ell))
-            )
+        inner = (~upper) & (x >= -self.ell)
+        xi = x[inner]
+        denom = self.gamma * self.roots.gap
+        # a3 e^{r1 x} = (-r2/denom) e^{r1 (x+ell)}, whose exponent is <= 0
+        # inside; the product a3 * e^{r1 x} is 0 * inf once -r1 x > 709.8
+        out[inner] = (
+            1.0 / self.gamma
+            - (r2 / denom) * np.exp(r1 * (xi + self.ell))
+            + self.a2 * np.exp(r2 * xi)
+        )
+        below = x < -self.ell
+        # the response is (r1/(gamma (r2-r1))) (e^{r2 x} - e^{r2 (x+ell)});
+        # both exponents are <= 0 for x <= -ell.
+        xb = x[below]
+        out[below] = (r1 / denom) * (np.exp(r2 * xb) - np.exp(r2 * (xb + self.ell)))
         return out
 
     def junction_residuals(self) -> dict[str, float]:
         """C0 and C1 mismatches at the junctions x = 0 and x = -ell."""
         r1, r2 = self.roots.r1, self.roots.r2
-        out = {
-            "c0_zero": abs(1.0 / self.gamma + self.a3 + self.a2 - self.a1),
-            "c1_zero": abs(self.a3 * r1 + self.a2 * r2 - self.a1 * r1),
-        }
-        if math.isinf(self.ell):
-            out["c0_left"] = 0.0
-            out["c1_left"] = 0.0
-            return out
         # a3 e^{-r1 ell} is evaluated as -r2/denom (its exact algebraic value)
         # to avoid the overflowing factor e^{-r1 ell}
         denom = self.gamma * self.roots.gap
@@ -125,33 +112,21 @@ class PiecewiseExpSolution:
         outer_val = (r1 / denom) * (e2 - 1.0)
         inner_der = -r1 * r2 / denom + (r1 * r2 / denom) * e2
         outer_der = (r1 * r2 / denom) * (e2 - 1.0)
-        out["c0_left"] = abs(inner_val - outer_val)
-        out["c1_left"] = abs(inner_der - outer_der)
-        return out
-
-    def integral_over_support(self) -> float:
-        """Weighted integral of the response over [-ell, 0], in closed form:
-        (2 / (gamma (r2 - r1))) (r2 + r1 e^{-ell} + e^{r1 ell})."""
-        r1, r2 = self.roots.r1, self.roots.r2
-        if math.isinf(self.ell):
-            return (1.0 / self.gamma) * (1.0 - 1.0 / self.roots.gap)
-        return (2.0 / (self.gamma * self.roots.gap)) * (
-            r2 + r1 * math.exp(-self.ell) + math.exp(r1 * self.ell)
-        )
+        return {
+            "c0_zero": abs(1.0 / self.gamma + self.a3 + self.a2 - self.a1),
+            "c1_zero": abs(self.a3 * r1 + self.a2 * r2 - self.a1 * r1),
+            "c0_left": abs(inner_val - outer_val),
+            "c1_left": abs(inner_der - outer_der),
+        }
 
 
 def lc_indicator(ell: float, c: float, gamma: float) -> PiecewiseExpSolution:
     """Closed-form inhibitor response to chi_{[-ell, 0]}; ell may be inf."""
-    if ell <= 0:
+    if not ell > 0:
         raise InvalidParameterError(f"support width must be positive, got {ell}")
     roots = char_roots(c, gamma)
     r1, r2 = roots.r1, roots.r2
     denom = gamma * roots.gap
-    if math.isinf(ell):
-        return PiecewiseExpSolution(
-            roots=roots, gamma=gamma, ell=ell,
-            a1=r2 / denom, a2=r1 / denom, a3=0.0,
-        )
     return PiecewiseExpSolution(
         roots=roots, gamma=gamma, ell=ell,
         a1=r2 * (1.0 - math.exp(r1 * ell)) / denom,

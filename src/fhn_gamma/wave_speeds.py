@@ -27,8 +27,8 @@ left end.
 
 The outer level drives the interval energy along the optimal-width path,
 g(c) = J(l*(c), c), to zero; g is strictly decreasing from g(0+) =
-sqrt(2)/6, and its exact derivative is J_c - J_l Q_c / Q_l.  The interval
-energy tends to the front energy as the width grows, so g is at most the
+sqrt(2)/6, and its exact derivative is J_c - J_l Q_c / Q_l.  The front
+energy is the interval energy at infinite width, so g is at most the
 front energy at every speed, and the front energy's root c_bar (the closed
 form of ``front_speed``) bounds the pulse speed from above.  So (0, c_bar]
 brackets the pulse speed.  Both levels see the speed only through the
@@ -123,9 +123,15 @@ def _front_energy_root(p: Params) -> tuple[float, float]:
     """h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma) and the root of the
     front energy, 2 h* sqrt(gamma) / sqrt(1 - h*^2): the front speed in
     the front regime, an upper bound on the pulse speed in the pulse
-    regime."""
+    regime.  0 < h* < 1 in both regimes, but 1 - h*^2 rounds to 0 once
+    (alpha - 1) gamma / sigma is below about 1e-16: raises ``BracketError``
+    there."""
     h_star = 1.0 - (p.alpha - 1.0) * p.gamma / (3.0 * SQRT2 * p.sigma)
-    c = 2.0 * h_star * math.sqrt(p.gamma) / math.sqrt(1.0 - h_star * h_star)
+    den = 1.0 - h_star * h_star
+    if den <= 0.0:
+        raise BracketError(f"the front energy's root is out of float range: "
+                           f"h* = {h_star}, and 1 - h*^2 rounds to {den}")
+    c = 2.0 * h_star * math.sqrt(p.gamma) / math.sqrt(den)
     return h_star, c
 
 
@@ -250,8 +256,8 @@ def pulse_speed(p: Params) -> PulseResult:
 
     The bracket is (0, c_bar], with no probe at either end.  The lower end
     holds because g(0+) > 0.  The upper end is the front energy's root
-    c_bar: J(l, c) tends to the front energy as l -> inf, so g(c) =
-    min_l J(l, c) is at most the front energy, which vanishes at c_bar;
+    c_bar: the front energy is J(inf, c), so g(c) = min_l J(l, c) is at
+    most the front energy, which vanishes at c_bar;
     hence g(c_bar) <= 0 and c_p <= c_bar.  Newton starts at c_bar, and
     stops there if g(c_bar) = 0.  A Newton step below 0 goes to half the
     right end instead, which only tiny speeds (c_p < 1e-3) need.  Where the

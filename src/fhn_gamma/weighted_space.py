@@ -184,9 +184,9 @@ class IntervalUnion:
 
     @property
     def l1e_norm(self) -> float:
-        """Weighted measure of the set, sum of e^b - e^a over intervals."""
-        return sum(math.exp(b) - (0.0 if math.isinf(a) else math.exp(a))
-                   for a, b in self.intervals)
+        """Weighted measure of the set, sum of e^b - e^a over intervals
+        (e^{-inf} = 0)."""
+        return sum(math.exp(b) - math.exp(a) for a, b in self.intervals)
 
     @property
     def rightmost(self) -> float:
@@ -199,7 +199,7 @@ class IntervalUnion:
     def indicator(self, grid: Grid) -> SampledFunction:
         """Sample the indicator on a grid; nodes at a jump (within 1e-12 of
         an endpoint) get the value 1/2, which keeps the finite-difference
-        inhibitor solve second-order accurate."""
+        inhibitor solve second-order accurate; no node is at a = -inf."""
         x = grid.x
         values = np.zeros_like(x)
         tol = 1e-12 * max(1.0, grid.h)
@@ -207,9 +207,8 @@ class IntervalUnion:
             inside = (x > a + tol) & (x < b - tol)
             values[inside] = 1.0
             for endpoint in (a, b):
-                if math.isfinite(endpoint):
-                    at = np.abs(x - endpoint) <= tol
-                    values[at] = 0.5
+                at = np.abs(x - endpoint) <= tol
+                values[at] = 0.5
         return SampledFunction(grid, values)
 
     def to_json(self) -> str:
@@ -244,8 +243,7 @@ def total_variation_e(e: IntervalUnion) -> float:
     total = 0.0
     for a, b in e.intervals:
         total += math.exp(b)
-        if math.isfinite(a):
-            total += math.exp(a)
+        total += math.exp(a)
     return total
 
 

@@ -44,6 +44,37 @@ def test_pulse_at_the_upper_alpha_edge_exit_code(argv, capsys):
     assert "upper edge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pulse-speed", "--alpha", "2", "--gamma", "1", "--sigma", "1e17"],
+    ["pulse-speed", "--alpha", "2", "--gamma", "1e-300", "--sigma", "1"],
+])
+def test_pulse_beyond_the_front_energy_root_range_exit_code(argv, capsys):
+    # 1 - h*^2 rounds to 0 in the pulse's upper speed bound
+    assert run(argv) == 3
+    assert "1 - h*^2 rounds to 0" in capsys.readouterr().err
+
+
+_NAN_SPEED = ["--alpha", "2", "--gamma", "1", "--sigma", "1", "--c", "nan"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-energy", *_NAN_SPEED, "--ell-grid", "1:2:2"],
+    ["limit-energy", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+     "--c", "inf", "--ell-grid", "1:2:2"],
+    ["minimize", *_NAN_SPEED, "--epsilon", "0.04", "--max-iter", "2"],
+    ["classify", "--alpha", "nan", "--gamma", "1", "--sigma", "1"],
+    ["classify", "--alpha", "5", "--gamma", "1", "--sigma", "inf"],
+    ["pulse-speed", "--alpha", "5", "--gamma", "1", "--sigma", "inf"],
+], ids=["limit_energy_nan", "limit_energy_inf", "minimize_nan",
+        "classify_nan", "classify_inf", "pulse_speed_inf"])
+def test_non_finite_input_is_invalid_input(argv, capsys):
+    # not computed into NaN, a wrong regime or a traceback
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_missing_parameter_exit_code(capsys):
     assert run(["front-speed", "--alpha", "5"]) == 2
 

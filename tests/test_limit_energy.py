@@ -10,7 +10,6 @@ from fhn_gamma.limit_energy import (
     sharp_interface_energy,
     speed_derivative_factor,
     speed_ratio,
-    speed_ratio_derivative,
     width_condition,
 )
 from fhn_gamma.model import SQRT2, Params
@@ -23,12 +22,37 @@ PULSE = Params(2.0, 1.0, 1.0)
 def test_speed_ratio_range_and_derivative():
     assert speed_ratio(0.0, 1.0) == 0.0
     assert speed_ratio(1e9, 1.0) == pytest.approx(1.0, rel=1e-12)
+    # the front energy's speed derivative is -(sigma / 2 gamma) dH/dc
     d = 1e-6
     for c in (0.3, 1.0, 4.0):
-        fd = (speed_ratio(c + d, 1.0) - speed_ratio(c - d, 1.0)) / (2 * d)
-        assert speed_ratio_derivative(c, 1.0) == pytest.approx(fd, rel=1e-7)
+        fd = (front_energy(c + d, PULSE).value
+              - front_energy(c - d, PULSE).value) / (2 * d)
+        assert front_energy(c, PULSE).derivative == pytest.approx(fd, rel=1e-7)
     with pytest.raises(InvalidParameterError):
         speed_ratio(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: speed_ratio(math.nan, 1.0),
+    lambda: char_roots(math.inf, 1.0),
+    lambda: char_roots(math.nan, 1.0),
+    lambda: front_energy(math.nan, PULSE),
+    lambda: front_energy(math.inf, PULSE),
+    lambda: front_energy(0.0, PULSE),
+    lambda: interval_energy(math.nan, 1.0, PULSE),
+    lambda: interval_energy(1.0, math.nan, PULSE),
+    lambda: width_condition(math.nan, 1.0, PULSE),
+    lambda: width_condition(math.inf, math.nan, PULSE),
+    lambda: speed_derivative_factor(math.nan, 1.0, 1.0),
+], ids=["speed_ratio", "char_roots_inf", "char_roots_nan", "front_energy_nan",
+        "front_energy_inf", "front_energy_zero", "interval_energy_width",
+        "interval_energy_speed", "width_condition_width",
+        "width_condition_speed", "speed_derivative_factor"])
+def test_speed_or_width_out_of_range_is_rejected(call):
+    # not computed into NaN, nor into the energy at rest; front_energy needs
+    # c > 0 like every other function of the speed through its decay rates
+    with pytest.raises(InvalidParameterError):
+        call()
 
 
 def test_interval_energy_small_width_limit():
@@ -37,11 +61,18 @@ def test_interval_energy_small_width_limit():
 
 
 def test_interval_energy_infinite_width_is_front_energy():
-    c = 0.8
-    je = interval_energy(math.inf, c, PULSE)
-    fe = front_energy(c, PULSE)
-    assert je.value == fe.value
-    assert je.d_width == 0.0
+    for c in (1e-3, 0.8, 30.0):
+        je = interval_energy(math.inf, c, PULSE)
+        fe = front_energy(c, PULSE)
+        assert je.value == fe.value
+        assert je.d_speed == fe.derivative
+        assert je.d_width == 0.0
+        assert je.d_width2 == 0.0
+        # the closed form sqrt(2)/12 (1 - alpha) + sigma (1 - H) / (2 gamma)
+        h = speed_ratio(c, PULSE.gamma)
+        assert fe.value == pytest.approx(
+            (SQRT2 / 12.0) * (1.0 - PULSE.alpha)
+            + PULSE.sigma * (1.0 - h) / (2.0 * PULSE.gamma), rel=1e-13)
 
 
 def test_interval_energy_derivatives_match_finite_differences():
@@ -182,6 +213,19 @@ def test_sharp_interface_energy_half_line_is_front_energy():
     assert breakdown.area_term == pytest.approx(-SQRT2 * PULSE.alpha / 12.0)
     assert breakdown.total == pytest.approx(front_energy(c, PULSE).value,
                                             rel=1e-12)
+
+
+def test_sharp_interface_energy_half_line_at_large_speeds():
+    # the half-line's nonlocal term sigma (1 - H) / (2 gamma) equals
+    # 2 sigma / (s (s + c)), s = sqrt(c^2 + 4 gamma), with no cancellation
+    e = IntervalUnion.single(-math.inf, 0.0)
+    for gamma, sigma in [(1.0, 1.0), (0.3, 2.5)]:
+        p = Params(2.0, gamma, sigma)
+        for c in (1e2, 1e3, 1e5):
+            s = math.sqrt(c * c + 4.0 * gamma)
+            exact = 2.0 * sigma / (s * (s + c))
+            term = sharp_interface_energy(e, c, p).nonlocal_term
+            assert term == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_sharp_interface_energy_union_superadditive():

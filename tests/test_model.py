@@ -35,6 +35,17 @@ def test_params_validation():
         Params(1.0, 1.0, 1.0, epsilon=-0.1)
 
 
+@pytest.mark.parametrize("values", [
+    (math.nan, 1.0, 1.0, 0.0), (5.0, 1.0, math.inf, 0.0),
+    (2.0, math.inf, 1.0, 0.0), (math.inf, 1.0, 1.0, 0.0),
+    (2.0, 1.0, 1.0, math.nan), (2.0, 1.0, 1.0, math.inf),
+])
+def test_params_must_be_finite(values):
+    # NaN passes every sign test; an infinite sigma classifies as a pulse
+    with pytest.raises(InvalidParameterError):
+        Params(*values)
+
+
 def test_beta_eps_and_cap():
     p = Params(2.0, 1.0, 1.0, 0.01)
     assert p.beta_eps == pytest.approx(0.5 - 0.02 / SQRT2, rel=1e-15)

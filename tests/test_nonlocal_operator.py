@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from fhn_gamma.epsilon_solver import solver_grid
 from fhn_gamma.errors import GridError, InvalidParameterError
-from fhn_gamma.limit_energy import speed_ratio
+from fhn_gamma.limit_energy import sharp_interface_energy, speed_ratio
 from fhn_gamma.model import Params
 from fhn_gamma.nonlocal_operator import (
     InhibitorOperator,
@@ -17,7 +17,7 @@ from fhn_gamma.nonlocal_operator import (
     nonlocal_energy,
 )
 from fhn_gamma.wave_speeds import pulse_speed
-from fhn_gamma.weighted_space import Grid, SampledFunction
+from fhn_gamma.weighted_space import Grid, IntervalUnion, SampledFunction
 
 
 def test_char_roots_identities():
@@ -53,6 +53,10 @@ def test_char_roots_rejects_bad_input():
         char_roots(0.0, 1.0)
     with pytest.raises(InvalidParameterError):
         char_roots(1.0, -1.0)
+    for c, gamma in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                     (1.0, math.inf)]:
+        with pytest.raises(InvalidParameterError):
+            char_roots(c, gamma)
 
 
 def test_indicator_response_junctions_and_ode():
@@ -101,20 +105,31 @@ def test_indicator_response_finite_on_wide_supports():
 
 def test_indicator_response_semi_infinite():
     sol = lc_indicator(math.inf, 1.0, 1.0)
+    assert sol.a3 == 0.0
     assert sol(np.array([-700.0]))[0] == pytest.approx(1.0, rel=1e-8)
     r = sol.roots
-    assert sol.integral_over_support() == pytest.approx(
-        (1.0 - 1.0 / r.gap), rel=1e-13)
+    # the nonlocal term of the half-line, (sigma/2) times the weighted
+    # integral (1 - 1/gap)/gamma of the response over the support
+    p = Params(2.0, 1.0, 1.3)
+    term = sharp_interface_energy(
+        IntervalUnion.single(-math.inf, 0.0), 1.0, p).nonlocal_term
+    assert term == pytest.approx(
+        p.sigma * (1.0 - 1.0 / r.gap) / (2.0 * p.gamma), rel=1e-13)
     for res in sol.junction_residuals().values():
         assert res < 1e-13
 
 
 def test_integral_over_support_matches_quadrature():
+    # the single-interval nonlocal term is (sigma/2) times the weighted
+    # integral of the closed-form response over its support
     ell, c, gamma = 2.5, 1.7, 1.3
+    p = Params(2.0, gamma, 0.7)
     sol = lc_indicator(ell, c, gamma)
     x = np.linspace(-ell, 0.0, 200001)
     quad = np.trapezoid(np.exp(x) * sol(x), dx=x[1] - x[0])
-    assert sol.integral_over_support() == pytest.approx(quad, rel=1e-9)
+    term = sharp_interface_energy(
+        IntervalUnion.single(-ell, 0.0), c, p).nonlocal_term
+    assert term == pytest.approx(0.5 * p.sigma * quad, rel=1e-9)
 
 
 def test_fd_solve_constant_data_is_exact():

@@ -390,6 +390,15 @@ def test_pulse_speed_at_the_upper_alpha_edge(gamma, sigma):
         optimal_width(1.0, p)
 
 
+@pytest.mark.parametrize("gamma, sigma", [(1.0, 1e17), (1e-300, 1.0)])
+def test_pulse_speed_beyond_the_front_energy_root_range(gamma, sigma):
+    # h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma) rounds to 1, so the
+    # front energy's root 2 h* sqrt(gamma) / sqrt(1 - h*^2) has no float value
+    p = Params(2.0, gamma, sigma)
+    with pytest.raises(BracketError, match="1 - h\\*\\^2 rounds to 0"):
+        pulse_speed(p)
+
+
 def test_newton_root_halves_from_a_zero_left_end():
     # f(x) = 1 - x^{1/4}: from x = 16 the Newton step lands at -16, outside
     # (0, 16], so the next point is 16 / 2, not the geometric mean 0
