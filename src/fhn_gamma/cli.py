@@ -82,12 +82,19 @@ def _parse_eps_list(text: str) -> list[float]:
 
 def load_config(path: str) -> dict:
     """Read a config file: a JSON object, or key=value lines with '#'
-    comments."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    comments.  Content that is not UTF-8 text, or malformed JSON, raises
+    ``InvalidParameterError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: config is not UTF-8: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"{path}: config is not JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidParameterError(f"{path}: config JSON must be an object")
         return {str(k): v for k, v in data.items()}
@@ -426,7 +433,7 @@ def run(argv=None) -> int:
     except (NonConvergenceError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

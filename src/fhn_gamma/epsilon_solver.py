@@ -20,9 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import BracketError, InvalidParameterError
+from .errors import BracketError, GridError, InvalidParameterError
 from .model import F0, G, Params, box_constants, f_eps
-from .nonlocal_operator import InhibitorOperator
+from .nonlocal_operator import (
+    MAX_LOG_SCALE,
+    InhibitorOperator,
+    scale_log_growth,
+)
 from .wave_speeds import _newton_root, limit_speed
 from .weighted_space import (
     Grid,
@@ -32,10 +36,9 @@ from .weighted_space import (
     weighted_dot,
 )
 
-#: the speed solve stops once the minimum energy is this small in magnitude
-SPEED_VALUE_TOL = 5e-4
-#: or once its Newton step (or bracket) is this small relative to max(1, c)
-SPEED_BRACKET_TOL = 1e-6
+#: the speed solve stops once its Newton step (or bracket) is this small
+#: relative to max(1, c)
+SPEED_BRACKET_TOL = 1e-3
 #: gradient-norm tolerance of every minimization inside the speed solve
 SPEED_GRAD_TOL = 1e-6
 #: solver grids drop the nodes left of the set whose weight e^x is below this
@@ -140,13 +143,21 @@ def solver_grid(e: IntervalUnion, eps: float) -> Grid:
     dropped, except those at or right of ``e.leftmost - GRID_PAD``: the grid
     starts at the last node at or left of min(ln GRID_WEIGHT_TOL,
     e.leftmost - GRID_PAD).  Kept nodes are not moved, because the energy of
-    the recovery profile is first order in node placement.
+    the recovery profile is first order in node placement.  Raises
+    ``GridError``, before any node exists, for a grid too long for the
+    inhibitor solve (``scale_log_growth`` above MAX_LOG_SCALE, about 2,600
+    units).
     """
     x_hi = e.rightmost + GRID_PAD
     h = Grid.for_interval(x_hi, eps / 8.0).h
     start = math.log(GRID_WEIGHT_TOL)
     if math.isfinite(e.leftmost):
         start = min(start, e.leftmost - GRID_PAD)
+    if scale_log_growth(h, (x_hi - start) / h + 1.0) > MAX_LOG_SCALE:
+        raise GridError(
+            f"solver grid on [{start:.6g}, {x_hi:.6g}] too long for the "
+            f"inhibitor solve"
+        )
     cells = math.ceil((x_hi - start) / h)
     if x_hi - cells * h > start:
         cells += 1
@@ -348,8 +359,14 @@ def minimize_energy(
     alone, from that trial's own flux and response, and the returned report
     is the final iterate's own.  Only the start is a full
     ``value_and_grad``.  On hitting the iteration cap the best iterate is
-    returned with ``converged=False``.
+    returned with ``converged=False``.  Needs max_iter >= 1 and
+    0 < tol < inf.
     """
+    if not (max_iter >= 1 and 0.0 < tol < math.inf):
+        raise InvalidParameterError(
+            f"need max_iter >= 1 and 0 < tol < inf, got max_iter={max_iter}, "
+            f"tol={tol}"
+        )
     grid = engine.grid
     q = grid.quadrature
     lo, hi = engine.box
@@ -458,32 +475,29 @@ def speed_eps(
     then starts from c_lo, where m is positive.
     On the pulse, m is convex there, so exact Newton steps approach the
     root from below; a step that the capped minimizations carry past it
-    only moves the bracket.  The solve stops once |m| is at most
-    SPEED_VALUE_TOL or a Newton step is at most SPEED_BRACKET_TOL
-    relative.  Minimizations run to the gradient-norm tolerance
-    SPEED_GRAD_TOL or ``max_iter`` iterations and warm-start from the
-    previous minimizer.  Each speed's inhibitor matrix is factored once:
-    an uncertified c_hi is minimized with the energy built for its
-    certificate.  Returns the minimized speed with the smallest |m|, and
-    every minimization and certified end in ``steps``.
+    only moves the bracket.  The solve stops at the first minimized speed
+    whose Newton step |m/m'| (or the bracket) is at most SPEED_BRACKET_TOL
+    relative to max(1, c), and returns that last iterate, with every
+    minimization and certified end in ``steps``.  Minimizations run to the
+    gradient-norm tolerance SPEED_GRAD_TOL or ``max_iter`` iterations and
+    warm-start from the previous minimizer.  Each speed's inhibitor matrix
+    is factored once: an uncertified c_hi is minimized with the energy
+    built for its certificate.
     """
     if not 0.0 < c_lo < c_hi:
         raise BracketError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
 
     warm = np.asarray(init, dtype=float)
     steps = []
-    best = None  # (c, MinimizeResult) with the smallest |m| so far
 
     def minimum(engine: DiscreteEnergy):
-        nonlocal warm, best
+        nonlocal warm
         res = minimize_energy(engine, warm, tol=SPEED_GRAD_TOL,
                               max_iter=max_iter)
         warm = res.profile.values
         slope = engine.d_speed(warm)
         steps.append(SpeedStep(engine.c, res.value, slope, res.iterations,
                                res.converged))
-        if best is None or abs(res.value) < abs(best[1].value):
-            best = (engine.c, res)
         return res.value, slope, res
 
     def certify(engine: DiscreteEnergy):
@@ -506,12 +520,10 @@ def speed_eps(
             f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
             f"m({c_lo})={f_lo[0]}, m({c_hi})={m_hi}"
         )
-    _newton_root(lambda c: minimum(DiscreteEnergy(grid, c, p)),
-                 c_lo, c_hi, c_lo, f_lo,
-                 xtol=SPEED_BRACKET_TOL, ftol=SPEED_VALUE_TOL)
-    c_best, res = best
+    c_eps, res = _newton_root(lambda c: minimum(DiscreteEnergy(grid, c, p)),
+                              c_lo, c_hi, c_lo, f_lo, xtol=SPEED_BRACKET_TOL)
     return SpeedResult(
-        c_eps=c_best, value=res.value, profile=res.profile, report=res.report,
+        c_eps=c_eps, value=res.value, profile=res.profile, report=res.report,
         iterations=sum(step.iterations for step in steps),
         converged=res.converged, steps=tuple(steps),
     )
@@ -550,11 +562,12 @@ def convergence_study(
     sorted descending).
 
     The default per-minimization iteration budget is far below the cap of
-    minimize_energy: the energy value settles orders of magnitude inside
-    the speed tolerance long before the slow translation mode drives the
-    gradient norm to its tolerance.  Only the value and its speed slope
-    enter the Newton speed solve; their errors are of second and first
-    order in the profile's distance from the minimizer.
+    minimize_energy: the energy value, and with it the Newton step m/m',
+    settles far inside the speed tolerance long before the slow
+    translation mode drives the gradient norm to its tolerance.  Only the
+    value and its speed slope enter the Newton speed solve; their errors
+    are of second and first order in the profile's distance from the
+    minimizer.
     """
     limit = limit_speed(p)
     c_limit = limit.to_dict()["c"]

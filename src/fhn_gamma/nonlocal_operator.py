@@ -43,15 +43,26 @@ def char_roots(c: float, gamma: float) -> CharRoots:
 
     r2 is computed in the cancellation-free form 2*gamma / (c*(c + s)) and
     r1 as -1 - r2, which enforces the sum identity to machine precision.
+
+    Accepts 0 < c < inf and 0 < gamma < inf for which c^2 s, r2 and dr1_dc
+    are finite and nonzero in floating point; at gamma = 1 that is about
+    7.5e-155 < c < 5.6e102.  Outside it 1/c^2 or c^3 leaves the float range,
+    and the roots cannot be represented.
     """
     if not (0 < c < math.inf and 0 < gamma < math.inf):
         raise InvalidParameterError(
             f"need 0 < c < inf and 0 < gamma < inf, got c={c}, gamma={gamma}"
         )
     s = math.sqrt(c * c + 4.0 * gamma)
-    r2 = 2.0 * gamma / (c * (c + s))
-    return CharRoots(r1=-1.0 - r2, r2=r2, ratio=c / s,
-                     dr1_dc=2.0 * gamma / (c * c * s))
+    c2s = c * c * s
+    if 0.0 < c2s < math.inf:
+        r2 = 2.0 * gamma / (c * (c + s))
+        dr1_dc = 2.0 * gamma / c2s
+        if 0.0 < r2 < math.inf and 0.0 < dr1_dc < math.inf:
+            return CharRoots(r1=-1.0 - r2, r2=r2, ratio=c / s, dr1_dc=dr1_dc)
+    raise InvalidParameterError(
+        f"the decay rates at c={c}, gamma={gamma} are out of float range"
+    )
 
 
 #: largest log of an entry the symmetrized solves form from unit data: the
@@ -59,6 +70,16 @@ def char_roots(c: float, gamma: float) -> CharRoots:
 #: e^650 leaves a factor e^59 below the float range for the data, the 2/c of
 #: the speed derivative and the growth 1/lambda_min(S) of the solve.
 MAX_LOG_SCALE = 650.0
+
+
+def scale_log_growth(h: float, n: float) -> float:
+    """Log of D_{n-1} / D_mid, the growth of the symmetrizing scale from the
+    middle to the right end of a grid of n nodes at spacing h: atanh(h/2)
+    (n - 1)/2, about a quarter of the grid's length.  ``InhibitorOperator``
+    refuses a grid where this plus the log of a right-end coefficient (at
+    least 0) exceeds MAX_LOG_SCALE, so no grid where it alone does can be
+    solved on."""
+    return math.atanh(0.5 * h) * (0.5 * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -196,7 +217,7 @@ class InhibitorOperator:
         # times a right-end coefficient (D_0 times a left-end one is tiny)
         log_ratio = math.atanh(0.5 * h)
         half = 0.5 * (n - 1)
-        log_scale = log_ratio * half + math.log(
+        log_scale = scale_log_growth(h, n) + math.log(
             max(1.0, abs(self._b_hi), *map(abs, self._speed_hi)))
         if log_scale > MAX_LOG_SCALE:
             raise GridError(

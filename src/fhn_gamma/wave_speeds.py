@@ -148,21 +148,21 @@ def front_speed(p: Params) -> FrontResult:
 
 
 def _newton_root(f, lo: float, hi: float, x: float, fx, *,
-                 xtol: float = NEWTON_XTOL, ftol: float = 0.0):
+                 xtol: float = NEWTON_XTOL):
     """Root of a strictly decreasing f on the bracket 0 <= lo < root < hi.
 
     ``f(x)`` returns (value, slope, data) and ``fx`` is f at the starting
     point x.  Each evaluation moves the bracket end of its sign to x.  A
     Newton step that leaves the bracket is replaced by the bracket's
     geometric mean, or by hi / 2 while lo is 0.  Stops at the first
-    evaluated point whose |value| is at most ``ftol`` or whose Newton step
-    is at most ``xtol`` relative (to max(1, |x|)), or when the bracket is
-    that narrow; returns that point and its data.  The right end may be
-    inf, an open bracket: a step that leaves it then goes to twice the left
-    end, and the bracket-width test waits for a finite right end.
+    evaluated point whose Newton step is at most ``xtol`` relative (to
+    max(1, |x|)), or where the bracket is that narrow, or where f is 0;
+    returns that last iterate and its data.  The right end may be inf, an
+    open bracket: a step that leaves it then goes to twice the left end,
+    and the bracket-width test waits for a finite right end.
     """
     value, slope, data = fx
-    while abs(value) > ftol:
+    while abs(value) > 0.0:
         step = value / slope if slope < 0.0 else math.inf
         if (abs(step) <= xtol * max(1.0, abs(x))
                 or (hi < math.inf and hi - lo <= xtol * max(1.0, hi))):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,11 +107,15 @@ class SampledFunction:
 
     @classmethod
     def from_csv(cls, path) -> "SampledFunction":
-        """Read columns x,value after one header line; needs 3 or more rows."""
-        with warnings.catch_warnings():
-            # empty input is reported by the row check below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """Read columns x,value after one header line; needs 3 or more rows.
+        Content that is not a table of numbers raises ``GridError``."""
+        try:
+            with warnings.catch_warnings():
+                # empty input is reported by the row check below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise GridError(f"{path}: not a CSV table of numbers: {exc}") from None
         if data.shape[0] < 3 or data.shape[1] < 2:
             raise GridError(
                 f"{path}: need at least 3 rows of x,value, got shape {data.shape}"
@@ -150,7 +155,9 @@ def weighted_norms(f: SampledFunction) -> WeightedNorms:
 @dataclass(frozen=True)
 class IntervalUnion:
     """Finite disjoint union of closed intervals, sorted descending by right
-    endpoint.  The left endpoint of the last interval may be -inf."""
+    endpoint.  The left endpoint of the last interval may be -inf; right
+    endpoints are at most ln(DBL_MAX) ~ 709.78, so that every e^b is
+    finite."""
 
     intervals: tuple[tuple[float, float], ...]
 
@@ -170,8 +177,11 @@ class IntervalUnion:
                 raise InvalidParameterError(
                     "only the leftmost interval may extend to -inf"
                 )
-            if math.isinf(b):
-                raise InvalidParameterError("right endpoints must be finite")
+            if b > math.log(sys.float_info.max):
+                raise InvalidParameterError(
+                    f"right endpoint {b} above ln(DBL_MAX) ~ 709.78, "
+                    f"where e^b overflows"
+                )
         for (a_hi, _), (_, b_lo) in zip(ivs[:-1], ivs[1:]):
             if not b_lo < a_hi:
                 raise InvalidParameterError(

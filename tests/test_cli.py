@@ -295,3 +295,49 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
                                "epsilon": 0.04, "c": 2.3, "max_iter": 2.9}))
     assert run(["minimize", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-energy", *_PULSE_ARGS, "--c", "1e300", "--ell-grid", "1:2:2"],
+    ["limit-energy", *_PULSE_ARGS, "--c", "1e-300", "--ell-grid", "1:2:2"],
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-lo", "1e-300"],
+    ["recovery", *_PULSE_ARGS, "--epsilon", "0.04", "--set", "[[0, 800]]"],
+    ["recovery", *_PULSE_ARGS, "--epsilon", "0.04",
+     "--set", "[[-1e300, 0]]"],
+    ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
+     "--set", "[[-1e300, 0]]"],
+    ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
+     "--max-iter", "0"],
+    ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
+     "--tol", "-1"],
+    ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
+     "--tol", "nan"],
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--max-iter", "0"],
+], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
+        "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
+        "minimize_no_iterations", "negative_tol", "nan_tol",
+        "speed_eps_no_iterations"])
+def test_out_of_range_input_is_invalid_input(argv, capsys):
+    # not a traceback, an I/O failure, a non-JSON summary or a run to the cap
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name, content, command", [
+    ("profile.csv", b"x,value\n0,a\n1,b\n2,c\n", "lc-apply"),
+    ("run.json", b'{"alpha": 2,', "classify"),
+    ("run.cfg", b"alpha = 2\n# \xff\xfe\n", "classify"),
+], ids=["non_numeric_csv", "malformed_json_config", "non_utf8_config"])
+def test_malformed_content_is_invalid_input(name, content, command, tmp_path,
+                                            capsys):
+    # unreadable content is bad input (2), not an I/O failure (4)
+    path = tmp_path / name
+    path.write_bytes(content)
+    if command == "lc-apply":
+        argv = ["lc-apply", *_PULSE_ARGS, "--c", "1.0", "--input", str(path)]
+    else:
+        argv = ["classify", "--config", str(path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

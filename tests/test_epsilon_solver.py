@@ -7,8 +7,10 @@ from scipy.optimize import brentq
 from fhn_gamma import epsilon_solver
 from fhn_gamma.epsilon_solver import (
     GRID_WEIGHT_TOL,
-    SPEED_VALUE_TOL,
+    SPEED_BRACKET_TOL,
     DiscreteEnergy,
+    EnergyReport,
+    MinimizeResult,
     build_recovery,
     minimize_energy,
     recovery_profile,
@@ -19,7 +21,13 @@ from fhn_gamma.errors import BracketError, InvalidParameterError
 from fhn_gamma.limit_energy import sharp_interface_energy
 from fhn_gamma.model import Params, potentials
 from fhn_gamma.wave_speeds import front_speed, limit_speed, pulse_speed
-from fhn_gamma.weighted_space import Grid, IntervalUnion, l2e_norm, shift
+from fhn_gamma.weighted_space import (
+    Grid,
+    IntervalUnion,
+    SampledFunction,
+    l2e_norm,
+    shift,
+)
 
 FRONT = Params(5.0, 1.0, 1.0, 0.04)
 HALF_LINE = IntervalUnion.single(-math.inf, 0.0)
@@ -185,6 +193,18 @@ def test_minimize_short_budget_still_descends():
     assert not res.converged or res.grad_norm < 1e-6
 
 
+@pytest.mark.parametrize("max_iter, tol", [
+    (0, 1e-6), (-1, 1e-6), (10, 0.0), (10, -1.0), (10, math.nan),
+    (10, math.inf),
+])
+def test_minimize_rejects_unusable_budget_or_tolerance(max_iter, tol):
+    grid = small_grid(0.04)
+    engine = DiscreteEnergy(grid, 1.0, FRONT)
+    init = np.where(grid.x < 0.0, 1.0, 0.0)
+    with pytest.raises(InvalidParameterError, match="max_iter >= 1"):
+        minimize_energy(engine, init, tol=tol, max_iter=max_iter)
+
+
 def test_minimizer_thresholds_to_a_set_with_comparable_limit_energy():
     # desk-scale lower-bound sandwich: the geometric energy of the
     # half-level set of the minimizer stays within 0.1 of the minimum
@@ -336,7 +356,6 @@ def test_speed_newton_needs_no_more_minimizations_than_bisection(
     c_lo, c_hi = pulse.c_p / factor, pulse.c_p * factor
     res = speed_eps(p, c_lo, c_hi, grid, init.w.values, max_iter=300)
     assert len(minimized_speeds) <= _SPEED_MINIMIZATIONS[factor]
-    assert abs(res.value) < SPEED_VALUE_TOL
     assert c_lo < res.c_eps < c_hi
     # c_lo minimized, c_hi certified without a minimization, then one step
     # per Newton minimization, in evaluation order
@@ -347,9 +366,55 @@ def test_speed_newton_needs_no_more_minimizations_than_bisection(
     assert newton and not any(step.certified for step in newton)
     assert [step.c for step in [first, *newton]] == minimized_speeds
     assert res.iterations == sum(step.iterations for step in res.steps)
+    # the answer is the last iterate, stopped on its Newton step; here it
+    # also has the smallest |m|
+    last = newton[-1]
+    assert (last.c, last.value) == (res.c_eps, res.value)
+    assert abs(last.value / last.slope) <= SPEED_BRACKET_TOL * max(1.0, last.c)
     best = min([first, *newton], key=lambda step: abs(step.value))
     assert (best.c, best.value) == (res.c_eps, res.value)
     assert all(step.slope < 0.0 for step in res.steps)
+
+
+def test_speed_stops_on_the_newton_step_at_the_last_iterate(monkeypatch):
+    # scripted minima (m, dm/dc) in minimization order on [1, 2], whose
+    # right end is certified: Newton goes 1 -> 1.1 -> 1.104.  At 1.1 |m| is
+    # only 4e-4 but the step 4e-3 exceeds the tolerance, so the solve goes
+    # on; at 1.104 the step is 6e-4 and the solve stops there and returns
+    # that speed, although the step before had the smaller |m|
+    grid = Grid(0.0, 1.0, 3)
+    minima = iter([(0.01, -0.1), (4e-4, -0.1), (-6e-4, -1.0)])
+    slopes = {2.0: -0.1}
+
+    class ScriptedEnergy:
+        def __init__(self, grid, c, p):
+            self.c = c
+
+        def report(self, values):
+            return EnergyReport(0.0, 0.0, 0.0, -0.05)
+
+        def d_speed(self, values):
+            return slopes[self.c]
+
+    def scripted_minimum(engine, init, tol, max_iter):
+        value, slopes[engine.c] = next(minima)
+        return MinimizeResult(
+            profile=SampledFunction(grid, init), value=value,
+            report=EnergyReport(0.0, 0.0, 0.0, value), iterations=1,
+            converged=True, grad_norm=0.0,
+        )
+
+    monkeypatch.setattr(epsilon_solver, "DiscreteEnergy", ScriptedEnergy)
+    monkeypatch.setattr(epsilon_solver, "minimize_energy", scripted_minimum)
+    res = speed_eps(Params(2.0, 1.0, 1.0, 0.04), 1.0, 2.0, grid,
+                    np.ones(3))
+    first, end, *newton = res.steps
+    assert (end.c, end.value, end.certified) == (2.0, -0.05, True)
+    assert [step.value for step in [first, *newton]] == [0.01, 4e-4, -6e-4]
+    assert [step.c for step in newton] == pytest.approx([1.1, 1.104],
+                                                        rel=1e-14)
+    assert (res.c_eps, res.value) == (newton[-1].c, -6e-4)
+    assert res.iterations == 3
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +462,9 @@ def test_speed_certified_step_is_never_best(pulse_bracket):
     first, end, *newton = res.steps
     assert end.certified and end.c == c_hi
     assert len(newton) == 1 and not newton[0].certified
-    assert abs(end.value) < abs(newton[0].value) < SPEED_VALUE_TOL
+    assert abs(end.value) < abs(newton[0].value)
+    assert (abs(newton[0].value / newton[0].slope)
+            <= SPEED_BRACKET_TOL * max(1.0, newton[0].c))
     assert (res.c_eps, res.value) == (newton[0].c, newton[0].value)
     assert res.converged == newton[0].converged
 

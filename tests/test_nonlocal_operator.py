@@ -53,10 +53,16 @@ def test_char_roots_rejects_bad_input():
         char_roots(0.0, 1.0)
     with pytest.raises(InvalidParameterError):
         char_roots(1.0, -1.0)
+    # the last four are finite speeds whose c^2 overflows (H = c/s would be
+    # 0) or underflows (dr1/dc = 2 gamma / (c^2 s) would divide by 0)
     for c, gamma in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
-                     (1.0, math.inf)]:
+                     (1.0, math.inf), (1e300, 1.0), (1e103, 1.0),
+                     (1e-155, 1.0), (1e-300, 1.0)]:
         with pytest.raises(InvalidParameterError):
             char_roots(c, gamma)
+    # just inside the accepted range every root is finite and nonzero
+    for c in (1e102, 1e-154):
+        assert all(0.0 < abs(v) < math.inf for v in char_roots(c, 1.0))
 
 
 def test_indicator_response_junctions_and_ode():
@@ -293,6 +299,13 @@ def test_grid_too_long_for_symmetrization_raises():
     grid = Grid(-2990.0, 10.0, 60001)  # 3,000 units at h = 0.05
     with pytest.raises(GridError, match="too long"):
         InhibitorOperator(grid, 1.0, 1.0)
+
+
+def test_solver_grid_too_long_raises_before_building_nodes():
+    # a set reaching 1e300 units left would need about 1e302 nodes; the
+    # length alone passes the inhibitor solve's cap, so no node is built
+    with pytest.raises(GridError, match="too long"):
+        solver_grid(IntervalUnion.single(-1e300, 0.0), 0.04)
 
 
 def test_cap_counts_the_right_end_robin_coefficient():

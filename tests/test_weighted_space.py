@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ def test_csv_round_trip(tmp_path):
     back = SampledFunction.from_csv(path)
     assert back.grid.n == g.n
     assert np.allclose(back.values, f.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("content", [
+    b"x,value\n0,a\n1,b\n2,c\n",
+    b"x,value\n0,1\n1,2,3\n2,3\n",
+    b"x,value\n0,\xff\n1,1\n2,1\n",
+], ids=["non_numeric", "ragged", "non_utf8"])
+def test_csv_rejects_malformed_content(content, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(GridError, match="not a CSV table of numbers"):
+        SampledFunction.from_csv(path)
 
 
 def test_csv_rejects_nonuniform(tmp_path):
@@ -120,6 +133,16 @@ def test_interval_union_validation():
     IntervalUnion(many[:MAX_INTERVALS])
     with pytest.raises(InvalidParameterError):
         IntervalUnion(many)
+
+
+def test_interval_union_right_end_below_float_overflow():
+    # e^b must be finite for the weighted measure and total variation
+    log_max = math.log(sys.float_info.max)
+    e = IntervalUnion.single(0.0, log_max)
+    assert math.isfinite(e.l1e_norm) and math.isfinite(total_variation_e(e))
+    for b in (math.nextafter(log_max, math.inf), 800.0):
+        with pytest.raises(InvalidParameterError, match="ln\\(DBL_MAX\\)"):
+            IntervalUnion.single(0.0, b)
 
 
 def test_interval_union_measure_and_endpoints():
