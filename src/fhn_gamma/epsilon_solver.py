@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, GridError, InvalidParameterError
 from .model import F0, G, Params, box_constants, f_eps
@@ -84,15 +84,21 @@ class RecoveryProfile:
         return float(np.max(np.abs(res)))
 
 
+@lru_cache(maxsize=8)
 def recovery_profile(eps: float) -> RecoveryProfile:
     """Interface profile from inverting x(u) = integral of eps/sqrt(eps+2F0).
 
     The cumulative integral is trapezoid on RECOVERY_QUAD_NODES points in u
     and the inverse is sampled on RECOVERY_NODES uniform points in x; rho_eps
     comes from the same cumulative integral so the endpoint values are exact.
+    The profile depends on eps alone, so it is computed once per eps and
+    cached (the 8 most recently used widths); its arrays ``x`` and ``u`` are
+    read-only, because every caller shares them.
     """
-    if eps <= 0:
-        raise InvalidParameterError(f"interface width must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidParameterError(
+            f"interface width must be finite and positive, got {eps}"
+        )
     s = np.linspace(0.0, 1.0, RECOVERY_QUAD_NODES)
     integrand = eps / np.sqrt(eps + 2.0 * F0(s))
     ds = s[1] - s[0]
@@ -103,6 +109,8 @@ def recovery_profile(eps: float) -> RecoveryProfile:
     x = np.linspace(0.0, rho, RECOVERY_NODES)
     u = np.interp(x, x_of_s, s)
     u[0], u[-1] = 0.0, 1.0
+    x.flags.writeable = False
+    u.flags.writeable = False
     return RecoveryProfile(eps=eps, rho_eps=rho, x=x, u=u)
 
 
@@ -173,6 +181,10 @@ def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile
     theta = 1 on the outside (norm >= 1), and a scalar root-find picks the
     offset with unit norm.
     """
+    # imported here, its only use, so that importing the package does not
+    # load scipy.optimize
+    from scipy.optimize import brentq
+
     p.require_small_epsilon()
     eps = p.epsilon
     if abs(e.l1e_norm - 1.0) > 1e-8:

@@ -157,12 +157,18 @@ class IntervalUnion:
     """Finite disjoint union of closed intervals, sorted descending by right
     endpoint.  The left endpoint of the last interval may be -inf; right
     endpoints are at most ln(DBL_MAX) ~ 709.78, so that every e^b is
-    finite."""
+    finite.  An integer endpoint too large for a float raises
+    ``InvalidParameterError``."""
 
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
+        try:
+            ivs = tuple((float(a), float(b)) for a, b in self.intervals)
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidParameterError(
+                "interval endpoint too large for a float"
+            ) from None
         object.__setattr__(self, "intervals", ivs)
         if not ivs:
             raise InvalidParameterError("interval union must be nonempty")

@@ -191,6 +191,15 @@ def test_bad_range_syntax(capsys):
     assert code == 2
 
 
+def test_range_near_float_max_keeps_finite_points(capsys):
+    # (hi - lo)(n - 1) = 2e307 is finite, so no point overflows
+    assert run(["limit-energy", *_PULSE_ARGS, "--c", "1.0",
+                "--ell-grid", "1:1e307:3"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    ells = [float(row.split(",")[0]) for row in rows]
+    assert ells == [1.0, 1.0 + (1e307 - 1.0) / 2, 1e307]
+
+
 def test_speed_eps_short_budget_reports_nonconvergence(
         capsys, monkeypatch, minimized_speeds):
     calls = []
@@ -313,10 +322,16 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
     ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
      "--tol", "nan"],
     ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--max-iter", "0"],
+    ["limit-energy", *_PULSE_ARGS, "--c", "1.0", "--ell-grid", "1:1e308:3"],
+    ["limit-energy", *_PULSE_ARGS, "--c", "1.0",
+     "--ell-grid", "1:2:1" + "0" * 400],
+    ["recovery", *_PULSE_ARGS, "--epsilon", "0.04",
+     "--set", "[[0, 1" + "0" * 400 + "]]"],
 ], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
         "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
         "minimize_no_iterations", "negative_tol", "nan_tol",
-        "speed_eps_no_iterations"])
+        "speed_eps_no_iterations", "range_step_overflow",
+        "range_count_overflow", "integer_endpoint_overflow"])
 def test_out_of_range_input_is_invalid_input(argv, capsys):
     # not a traceback, an I/O failure, a non-JSON summary or a run to the cap
     assert run(argv) == 2

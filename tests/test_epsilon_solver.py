@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,8 +56,45 @@ def test_recovery_profile_reflection():
 
 
 def test_recovery_profile_rejects_bad_eps():
-    with pytest.raises(InvalidParameterError):
-        recovery_profile(0.0)
+    # a NaN or infinite width would give, and cache, a profile of NaNs
+    for eps in (0.0, -0.04, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            recovery_profile(eps)
+
+
+def test_recovery_profile_is_cached_per_eps_and_read_only():
+    rp = recovery_profile(0.04)
+    assert recovery_profile(0.04) is rp
+    for arr in (rp.x, rp.u):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert rp.u[0] == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.01, 1e-3])
+def test_cached_recovery_profile_equals_a_fresh_inversion(eps):
+    cached, fresh = recovery_profile(eps), recovery_profile.__wrapped__(eps)
+    assert cached is not fresh
+    assert cached.rho_eps == fresh.rho_eps
+    assert np.array_equal(cached.x, fresh.x)
+    assert np.array_equal(cached.u, fresh.u)
+
+
+def test_repeated_build_recovery_does_not_invert_the_profile_again():
+    # the inversion runs on 400,001 quadrature points and peaks at about
+    # 12 MB; a repeated recovery at the same eps only places the windows
+    p = Params(2.0, 1.0, 1.0, 0.04)
+    e = pulse_speed(Params(2.0, 1.0, 1.0)).limit_set
+    grid = solver_grid(e, p.epsilon)
+    first = build_recovery(e, p, grid)
+    tracemalloc.start()
+    try:
+        second = build_recovery(e, p, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert np.array_equal(first.w.values, second.w.values)
 
 
 def test_build_recovery_front_set():

@@ -128,12 +128,15 @@ def test_phi_outside_unit_interval_is_monotone_continuation():
         assert potentials(u, p).phi == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
-def test_import_does_not_load_scipy_integrate():
-    # a fresh interpreter, because this test module imports scipy.integrate
+def test_import_does_not_load_scipy_integrate_or_optimize():
+    # a fresh interpreter, because this test module imports scipy.integrate;
+    # scipy.optimize is imported by build_recovery when it first runs
     src = str(Path(fhn_gamma.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fhn_gamma; assert 'scipy.integrate' not in sys.modules"
+    code = ("import sys, fhn_gamma; loaded = [m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules]; "
+            "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

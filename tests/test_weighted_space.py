@@ -145,6 +145,14 @@ def test_interval_union_right_end_below_float_overflow():
             IntervalUnion.single(0.0, b)
 
 
+def test_interval_union_integer_endpoint_beyond_float_range():
+    big = 10**400
+    with pytest.raises(InvalidParameterError, match="too large for a float"):
+        IntervalUnion.single(0, big)
+    with pytest.raises(InvalidParameterError, match="too large for a float"):
+        IntervalUnion.from_json(f"[[-{big}, 0]]")
+
+
 def test_interval_union_measure_and_endpoints():
     e = IntervalUnion(((1.0, 2.0), (-1.0, 0.0)))
     assert e.l1e_norm == pytest.approx(
