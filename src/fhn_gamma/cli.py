@@ -50,9 +50,9 @@ EXIT_IO = 4
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
-    """Parse 'lo:hi:n' into a range triple.  A range whose (hi - lo)(n - 1)
-    is not a finite float raises ``InvalidParameterError``: the points
-    lo + (hi - lo) i / (n - 1) would overflow."""
+    """Parse 'lo:hi:n' into a range triple.  A range of n > 1 points whose
+    (hi - lo)(n - 1) is not a finite float raises ``InvalidParameterError``:
+    the points lo + (hi - lo) i / (n - 1) would overflow."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameterError(f"expected lo:hi:n, got {text!r}")
@@ -62,12 +62,13 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise InvalidParameterError(f"expected numbers in lo:hi:n, got {text!r}") from None
     if n < 1 or (n > 1 and not lo < hi):
         raise InvalidParameterError(f"bad range {text!r}")
-    try:
-        span = (hi - lo) * (n - 1)
-    except OverflowError:  # n - 1 beyond the float range
-        span = math.inf
-    if not math.isfinite(span):
-        raise InvalidParameterError(f"range {text!r} overflows a float")
+    if n > 1:  # a single point is lo alone, whatever hi is
+        try:
+            span = (hi - lo) * (n - 1)
+        except OverflowError:  # n - 1 beyond the float range
+            span = math.inf
+        if not math.isfinite(span):
+            raise InvalidParameterError(f"range {text!r} overflows a float")
     return lo, hi, n
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +48,8 @@ GRID_PAD = 10.0
 #: on this many quadrature points in u
 RECOVERY_NODES = 20001
 RECOVERY_QUAD_NODES = 400001
+#: the recovery integral runs over this many quadrature intervals at a time
+RECOVERY_CHUNK = 8192
 #: speed bracket of convergence_study and the default of fhn-gamma speed-eps:
 #: [c_limit / BRACKET_FACTOR, c_limit * BRACKET_FACTOR]
 BRACKET_FACTOR = 2.0
@@ -84,33 +85,48 @@ class RecoveryProfile:
         return float(np.max(np.abs(res)))
 
 
-@lru_cache(maxsize=8)
 def recovery_profile(eps: float) -> RecoveryProfile:
     """Interface profile from inverting x(u) = integral of eps/sqrt(eps+2F0).
 
     The cumulative integral is trapezoid on RECOVERY_QUAD_NODES points in u
     and the inverse is sampled on RECOVERY_NODES uniform points in x; rho_eps
     comes from the same cumulative integral so the endpoint values are exact.
-    The profile depends on eps alone, so it is computed once per eps and
-    cached (the 8 most recently used widths); its arrays ``x`` and ``u`` are
-    read-only, because every caller shares them.
+    The integral runs in chunks of RECOVERY_CHUNK intervals, twice (once for
+    rho_eps, once to invert), so no array of quadrature length is built.
     """
     if not 0.0 < eps < math.inf:
         raise InvalidParameterError(
             f"interface width must be finite and positive, got {eps}"
         )
-    s = np.linspace(0.0, 1.0, RECOVERY_QUAD_NODES)
-    integrand = eps / np.sqrt(eps + 2.0 * F0(s))
-    ds = s[1] - s[0]
-    x_of_s = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * ds)]
-    )
-    rho = float(x_of_s[-1])
+    n = RECOVERY_QUAD_NODES - 1
+    ds = 1.0 / n
+
+    def pieces():
+        """(s, x(s)) on consecutive chunks of the nodes s_i = i ds (the
+        nodes of np.linspace(0, 1, n + 1)) that share their end nodes."""
+        x_end = 0.0
+        for k in range(0, n, RECOVERY_CHUNK):
+            s_k = np.arange(k, min(k + RECOVERY_CHUNK, n) + 1) * ds
+            integrand = eps / np.sqrt(eps + 2.0 * F0(s_k))
+            steps = 0.5 * (integrand[1:] + integrand[:-1]) * ds
+            steps[0] += x_end  # the running sum, continued bit for bit
+            x_k = np.concatenate([[x_end], np.cumsum(steps)])
+            x_end = x_k[-1]
+            yield s_k, x_k
+
+    for _, x_k in pieces():
+        pass
+    rho = float(x_k[-1])
     x = np.linspace(0.0, rho, RECOVERY_NODES)
-    u = np.interp(x, x_of_s, s)
+    # a sample below a chunk's last node is bracketed by the same two nodes
+    # in the chunk as in the whole table; a sample at rho_eps maps to 1
+    u = np.ones_like(x)
+    i = 0
+    for s_k, x_k in pieces():
+        j = int(np.searchsorted(x, x_k[-1]))
+        u[i:j] = np.interp(x[i:j], x_k, s_k)
+        i = j
     u[0], u[-1] = 0.0, 1.0
-    x.flags.writeable = False
-    u.flags.writeable = False
     return RecoveryProfile(eps=eps, rho_eps=rho, x=x, u=u)
 
 

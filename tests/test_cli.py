@@ -191,13 +191,18 @@ def test_bad_range_syntax(capsys):
     assert code == 2
 
 
-def test_range_near_float_max_keeps_finite_points(capsys):
+@pytest.mark.parametrize("grid, expected", [
     # (hi - lo)(n - 1) = 2e307 is finite, so no point overflows
+    ("1:1e307:3", [1.0, 1.0 + (1e307 - 1.0) / 2, 1e307]),
+    # a single point is lo, whatever hi is
+    ("1:inf:1", [1.0]),
+    ("1:1e308:1", [1.0]),
+], ids=["three_points", "one_point_infinite_hi", "one_point_huge_hi"])
+def test_range_near_float_max_keeps_finite_points(grid, expected, capsys):
     assert run(["limit-energy", *_PULSE_ARGS, "--c", "1.0",
-                "--ell-grid", "1:1e307:3"]) == 0
+                "--ell-grid", grid]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
-    ells = [float(row.split(",")[0]) for row in rows]
-    assert ells == [1.0, 1.0 + (1e307 - 1.0) / 2, 1e307]
+    assert [float(row.split(",")[0]) for row in rows] == expected
 
 
 def test_speed_eps_short_budget_reports_nonconvergence(

@@ -8,6 +8,8 @@ from scipy.optimize import brentq
 from fhn_gamma import epsilon_solver
 from fhn_gamma.epsilon_solver import (
     GRID_WEIGHT_TOL,
+    RECOVERY_NODES,
+    RECOVERY_QUAD_NODES,
     SPEED_BRACKET_TOL,
     DiscreteEnergy,
     EnergyReport,
@@ -20,7 +22,7 @@ from fhn_gamma.epsilon_solver import (
 )
 from fhn_gamma.errors import BracketError, InvalidParameterError
 from fhn_gamma.limit_energy import sharp_interface_energy
-from fhn_gamma.model import Params, potentials
+from fhn_gamma.model import F0, Params, potentials
 from fhn_gamma.wave_speeds import front_speed, limit_speed, pulse_speed
 from fhn_gamma.weighted_space import (
     Grid,
@@ -56,45 +58,44 @@ def test_recovery_profile_reflection():
 
 
 def test_recovery_profile_rejects_bad_eps():
-    # a NaN or infinite width would give, and cache, a profile of NaNs
+    # a NaN or infinite width would give a profile of NaNs
     for eps in (0.0, -0.04, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
             recovery_profile(eps)
 
 
-def test_recovery_profile_is_cached_per_eps_and_read_only():
-    rp = recovery_profile(0.04)
-    assert recovery_profile(0.04) is rp
-    for arr in (rp.x, rp.u):
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
-    assert rp.u[0] == 0.0
+def _whole_array_inversion(eps):
+    # the inversion with every quadrature-length array built at once
+    s = np.linspace(0.0, 1.0, RECOVERY_QUAD_NODES)
+    integrand = eps / np.sqrt(eps + 2.0 * F0(s))
+    x_of_s = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * (s[1] - s[0]))]
+    )
+    x = np.linspace(0.0, x_of_s[-1], RECOVERY_NODES)
+    u = np.interp(x, x_of_s, s)
+    u[0], u[-1] = 0.0, 1.0
+    return x_of_s[-1], x, u
 
 
-@pytest.mark.parametrize("eps", [0.04, 0.01, 1e-3])
-def test_cached_recovery_profile_equals_a_fresh_inversion(eps):
-    cached, fresh = recovery_profile(eps), recovery_profile.__wrapped__(eps)
-    assert cached is not fresh
-    assert cached.rho_eps == fresh.rho_eps
-    assert np.array_equal(cached.x, fresh.x)
-    assert np.array_equal(cached.u, fresh.u)
+@pytest.mark.parametrize("eps", [0.5, 0.04, 0.01, 1e-3, 1e-12])
+def test_recovery_profile_equals_the_whole_array_inversion(eps):
+    rp = recovery_profile(eps)
+    rho, x, u = _whole_array_inversion(eps)
+    assert rp.rho_eps == rho
+    assert np.array_equal(rp.x, x)
+    assert np.array_equal(rp.u, u)
 
 
-def test_repeated_build_recovery_does_not_invert_the_profile_again():
-    # the inversion runs on 400,001 quadrature points and peaks at about
-    # 12 MB; a repeated recovery at the same eps only places the windows
-    p = Params(2.0, 1.0, 1.0, 0.04)
-    e = pulse_speed(Params(2.0, 1.0, 1.0)).limit_set
-    grid = solver_grid(e, p.epsilon)
-    first = build_recovery(e, p, grid)
+def test_recovery_profile_builds_no_quadrature_length_array():
+    # a 400,001-node array is 3.2 MB; the whole-array inversion holds four
+    recovery_profile(0.04)
     tracemalloc.start()
     try:
-        second = build_recovery(e, p, grid)
+        recovery_profile(0.04)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1e6
-    assert np.array_equal(first.w.values, second.w.values)
+    assert peak < 2e6
 
 
 def test_build_recovery_front_set():
