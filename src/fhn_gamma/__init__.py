@@ -31,11 +31,9 @@ from .errors import (
     RegimeError,
 )
 from .limit_energy import (
-    FrontEnergy,
     IntervalEnergy,
     LimitEnergyBreakdown,
     WidthCondition,
-    front_energy,
     interval_energy,
     sharp_interface_energy,
     speed_ratio,
@@ -55,8 +53,6 @@ from .nonlocal_operator import (
     InhibitorOperator,
     char_roots,
     lc_indicator,
-    lc_solve_fd,
-    nonlocal_energy,
 )
 from .wave_speeds import (
     FrontResult,
@@ -73,25 +69,22 @@ from .weighted_space import (
     SampledFunction,
     shift,
     total_variation_e,
-    total_variation_e_sampled,
-    weighted_norms,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleProfile", "BracketError", "CharRoots", "DiscreteEnergy",
-    "EnergyReport", "FrontEnergy", "FrontResult", "Grid", "GridError",
-    "InhibitorOperator", "IntervalEnergy", "IntervalUnion",
-    "InvalidParameterError", "LimitEnergyBreakdown", "MinimizeResult",
-    "NonConvergenceError", "Params", "PulseResult", "RecoveryProfile",
-    "Regime", "RegimeError", "RegimeTag", "SampledFunction", "SpeedResult",
-    "SpeedStep", "StudyResult", "WidthCondition", "build_recovery",
-    "char_roots", "classify", "convergence_study", "front_condition",
-    "front_energy", "front_speed", "gamma_star", "gamma_star_limit",
-    "interval_energy", "lc_indicator", "lc_solve_fd", "limit_speed",
-    "minimize_energy", "nonlocal_energy", "optimal_width", "potentials",
+    "EnergyReport", "FrontResult", "Grid", "GridError", "InhibitorOperator",
+    "IntervalEnergy", "IntervalUnion", "InvalidParameterError",
+    "LimitEnergyBreakdown", "MinimizeResult", "NonConvergenceError",
+    "Params", "PulseResult", "RecoveryProfile", "Regime", "RegimeError",
+    "RegimeTag", "SampledFunction", "SpeedResult", "SpeedStep",
+    "StudyResult", "WidthCondition", "build_recovery", "char_roots",
+    "classify", "convergence_study", "front_condition", "front_speed",
+    "gamma_star", "gamma_star_limit", "interval_energy", "lc_indicator",
+    "limit_speed", "minimize_energy", "optimal_width", "potentials",
     "pulse_speed", "recovery_profile", "sharp_interface_energy", "shift",
     "solver_grid", "speed_eps", "speed_ratio", "total_variation_e",
-    "total_variation_e_sampled", "weighted_norms", "width_condition",
+    "width_condition",
 ]

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .limit_energy import interval_energy
 from .model import Params, classify
-from .nonlocal_operator import lc_solve_fd
+from .nonlocal_operator import InhibitorOperator
 from .wave_speeds import front_speed, limit_speed, pulse_speed
 from .weighted_space import IntervalUnion, SampledFunction
 
@@ -213,6 +213,11 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _emit_profile(x, values, path) -> None:
+    """Write a profile as the CSV x,value that every command uses."""
+    _emit_text(_csv_text(("x", "value"), zip(x, values)), path)
+
+
 def _cmd_classify(opts):
     regime = classify(_params(opts))
     print(json.dumps({"regime": regime.tag.value, "strict": regime.strict}))
@@ -248,13 +253,12 @@ def _cmd_limit_energy(opts):
 def _cmd_lc_apply(opts):
     p = _params(opts)
     f = SampledFunction.from_csv(opts["input"])
-    v = lc_solve_fd(f, opts["c"], p.gamma)
-    text = _csv_text(("x", "value"), zip(v.grid.x, v.values))
-    _emit_text(text, opts["output"])
+    v = InhibitorOperator(f.grid, opts["c"], p.gamma).solve(f.values)
+    _emit_profile(f.grid.x, v, opts["output"])
     if opts["svg"]:
         svg.line_plot(
             opts["svg"],
-            [("input", f.grid.x, f.values), ("response", v.grid.x, v.values)],
+            [("input", f.grid.x, f.values), ("response", f.grid.x, v)],
             title=f"inhibitor response at c={opts['c']}",
             xlabel="x", ylabel="value",
         )
@@ -266,8 +270,7 @@ def _cmd_recovery(opts):
     e = IntervalUnion.from_json(opts["set"])
     grid = solver_grid(e, p.epsilon)
     profile = build_recovery(e, p, grid)
-    text = _csv_text(("x", "value"), zip(grid.x, profile.w.values))
-    _emit_text(text, opts["output"])
+    _emit_profile(grid.x, profile.w.values, opts["output"])
     if opts["svg"]:
         svg.line_plot(
             opts["svg"], [("profile", grid.x, profile.w.values)],
@@ -300,7 +303,7 @@ def _cmd_minimize(opts):
     }
     print(json.dumps(summary, indent=2))
     if opts["output"]:
-        result.profile.to_csv(opts["output"])
+        _emit_profile(grid.x, result.profile.values, opts["output"])
     if opts["svg"]:
         svg.line_plot(
             opts["svg"], [("minimizer", grid.x, result.profile.values)],
@@ -332,7 +335,7 @@ def _cmd_speed_eps(opts):
     }
     _emit_text(json.dumps(summary, indent=2) + "\n", opts["output"])
     if opts["profile_output"]:
-        result.profile.to_csv(opts["profile_output"])
+        _emit_profile(grid.x, result.profile.values, opts["profile_output"])
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 

@@ -60,7 +60,8 @@ class RecoveryProfile:
     """Monotone interface profile rising from 0 to 1 over [0, rho_eps].
 
     Solves the first-integral relation eps^2 u'^2 / 2 - F0(u) = eps/2 with
-    u(0) = 0 and u(rho_eps) = 1; the falling profile is its reflection.
+    u(0) = 0 and u(rho_eps) = 1; at a right end of a set ``build_recovery``
+    uses its reflection.
     """
 
     eps: float
@@ -71,10 +72,6 @@ class RecoveryProfile:
     def rising(self, t):
         """Profile value at t, extended by 0 below and 1 above the window."""
         return np.interp(t, self.x, self.u)
-
-    def falling(self, t):
-        """Reflected profile, 1 below the window and 0 above."""
-        return np.interp(self.rho_eps - np.asarray(t, dtype=float), self.x, self.u)
 
     def first_integral_residual(self) -> float:
         """Max deviation of eps^2 u'^2 / 2 - F0(u) from eps/2 along the

@@ -7,11 +7,11 @@ equation.  The energy and the condition each have an ``*_at`` form that
 takes those roots (``CharRoots``), so a solver at a fixed speed builds them
 once.  Widths range over (0, inf]: the front's set, the half-line
 (-inf, 0], is the interval of infinite width, and since e^{-inf} = 0 the
-finite formulas give its values, so the front energy is J(inf, c).  The
-geometric energy of a union of intervals has exact perimeter and area
-sums; its nonlocal term is closed form for a single interval and a
-first-order finite-difference pairing for unions of two or more (ROADMAP
-item 5 is the closed form for unions).
+finite formulas give its values, so the front energy is J(inf, c),
+``interval_energy(inf, c, p)``.  The geometric energy of a union of
+intervals has exact perimeter and area sums; its nonlocal term is closed
+form for a single interval and a first-order finite-difference pairing for
+unions of two or more (ROADMAP item 6 is the closed form for unions).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .model import SQRT2, Params
-from .nonlocal_operator import CharRoots, char_roots, nonlocal_energy
-from .weighted_space import Grid, IntervalUnion, total_variation_e
+from .nonlocal_operator import CharRoots, InhibitorOperator, char_roots
+from .weighted_space import Grid, IntervalUnion, total_variation_e, weighted_dot
 
 #: grid spacing of the finite-difference pairing of a union of intervals
 FD_RESOLUTION = 0.005
@@ -82,7 +82,8 @@ def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
     """Limit energy of a width-ell interval normalized to unit right endpoint
     weight, with first and second width derivatives and the speed derivative
     (``interval_energy_at`` on the roots of speed c).  ell = inf gives the
-    front energy, with zero width derivatives."""
+    front energy sqrt(2)/12 (1 - alpha) + sigma (1 - H(c)) / (2 gamma),
+    strictly decreasing in c, with zero width derivatives."""
     if not ell > 0:
         raise InvalidParameterError(f"need ell > 0, got ell={ell}")
     return interval_energy_at(ell, char_roots(c, p.gamma), p)
@@ -122,20 +123,6 @@ def scaled_width_curvature(ell: float, roots: CharRoots, p: Params) -> float:
     return ((SQRT2 / 12.0) * (1.0 + p.alpha)
             - (1.0 + roots.ratio) * p.sigma / (2.0 * p.gamma)
             * (1.0 + roots.r1 * math.exp(-roots.r2 * ell)))
-
-
-@dataclass(frozen=True)
-class FrontEnergy:
-    value: float
-    derivative: float
-
-
-def front_energy(c: float, p: Params) -> FrontEnergy:
-    """The interval energy at infinite width, J(inf, c) =
-    sqrt(2)/12 (1 - alpha) + sigma (1 - H(c)) / (2 gamma), and its speed
-    derivative; strictly decreasing in c > 0."""
-    je = interval_energy_at(math.inf, char_roots(c, p.gamma), p)
-    return FrontEnergy(value=je.value, derivative=je.d_speed)
 
 
 class WidthCondition(NamedTuple):
@@ -214,7 +201,7 @@ def sharp_interface_energy(
     That pairing is first-order accurate, because the indicator is sampled
     at the nodes: on the benchmark's seeded 2-4-interval unions it was up to
     13% off the exact Green's-function value.  A closed form for unions is
-    ROADMAP item 5.
+    ROADMAP item 6.
     """
     perimeter = (SQRT2 / 12.0) * total_variation_e(e)
     area = -(SQRT2 * p.alpha / 12.0) * e.l1e_norm
@@ -238,4 +225,6 @@ def _nonlocal_pairing_fd(e: IntervalUnion, c: float, p: Params) -> float:
     left = e.leftmost
     x_lo = -34.0 if math.isinf(left) else min(-34.0, left - 10.0)
     grid = Grid.for_interval(e.rightmost + 10.0, h, x_lo=x_lo)
-    return nonlocal_energy(e.indicator(grid), c, p.gamma)
+    chi = e.indicator(grid).values
+    v = InhibitorOperator(grid, c, p.gamma).solve(chi)
+    return weighted_dot(grid, chi, v)

@@ -62,12 +62,6 @@ class Params:
                 "required for interface-scale operations"
             )
 
-    def d_of(self, c: float) -> float:
-        """Diffusivity ratio epsilon^2 / c^2 once a wave speed is attached."""
-        if c <= 0:
-            raise InvalidParameterError(f"wave speed must be positive, got {c}")
-        return self.epsilon**2 / c**2
-
 
 class RegimeTag(Enum):
     FRONT = "front"

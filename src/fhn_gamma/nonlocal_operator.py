@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import GridError, InvalidParameterError, NonConvergenceError
-from .weighted_space import Grid, SampledFunction, weighted_dot
+from .weighted_space import Grid
 
 
 class CharRoots(NamedTuple):
@@ -292,15 +292,3 @@ class InhibitorOperator:
         rhs[-1] = self._speed_hi[0] * v[-1] + self._speed_hi[1] * f[-1]
         return self._solve_scaled(self._inv_scale, self._scale, rhs)
 
-
-def lc_solve_fd(f: SampledFunction, c: float, gamma: float) -> SampledFunction:
-    """Finite-difference inhibitor response to a sampled profile."""
-    op = InhibitorOperator(f.grid, c, gamma)
-    return SampledFunction(f.grid, op.solve(f.values))
-
-
-def nonlocal_energy(w: SampledFunction, c: float, gamma: float) -> float:
-    """Weighted pairing of a profile with its inhibitor response,
-    integral of e^x w (L_c w) dx; nonnegative up to discretization error."""
-    v = lc_solve_fd(w, c, gamma)
-    return weighted_dot(w.grid, w.values, v.values)

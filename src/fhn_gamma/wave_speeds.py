@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 from .errors import BracketError, RegimeError
 from .limit_energy import (
-    front_energy,
     interval_energy_at,
     scaled_width_curvature,
     speed_ratio,
@@ -140,7 +139,8 @@ def front_speed(p: Params) -> FrontResult:
     h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma)."""
     regime = require_regime(p, RegimeTag.FRONT)
     h_star, c_f = _front_energy_root(p)
-    residual = abs(front_energy(c_f, p).value)
+    front_energy = interval_energy_at(math.inf, char_roots(c_f, p.gamma), p)
+    residual = abs(front_energy.value)
     if not front_condition(c_f, p):  # pragma: no cover - excluded by regime
         raise RegimeError("front speed violates the semi-infinite optimality condition")
     return FrontResult(c_f=c_f, h_star=h_star, residual=residual,

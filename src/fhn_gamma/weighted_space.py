@@ -68,7 +68,7 @@ class Grid:
 
     @cached_property
     def weight_mid(self) -> np.ndarray:
-        """Midpoint values of the weight, used by the discrete total variation."""
+        """Midpoint values of the weight, used by the energy's gradient term."""
         return np.exp(0.5 * (self.x[1:] + self.x[:-1]))
 
     @classmethod
@@ -76,8 +76,10 @@ class Grid:
         """Grid covering [x_lo, x_hi] with spacing at most h."""
         if not 0.0 < h < math.inf:
             raise GridError(f"grid spacing must be finite and positive, got {h}")
-        n = max(3, int(math.ceil((x_hi - x_lo) / h)) + 1)
-        return cls(x_lo, x_hi, n)
+        cells = (x_hi - x_lo) / h
+        if not math.isfinite(cells):
+            raise GridError(f"[{x_lo}, {x_hi}] at spacing {h} has no finite cell count")
+        return cls(x_lo, x_hi, max(3, math.ceil(cells) + 1))
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,6 @@ class SampledFunction:
     def from_callable(cls, grid: Grid, fn) -> "SampledFunction":
         return cls(grid, np.asarray(fn(grid.x), dtype=float))
 
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.grid.x, self.values])
-        np.savetxt(path, data, delimiter=",", header="x,value", comments="")
-
     @classmethod
     def from_csv(cls, path) -> "SampledFunction":
         """Read columns x,value after one header line; needs 3 or more rows.
@@ -127,12 +125,6 @@ class SampledFunction:
         return cls(Grid(float(x[0]), float(x[-1]), len(x)), values)
 
 
-@dataclass(frozen=True)
-class WeightedNorms:
-    l1e: float
-    l2e: float
-
-
 def weighted_dot(grid: Grid, a: np.ndarray, b) -> float:
     """Integral of a*b against e^x dx by the trapezoid rule of
     ``Grid.quadrature``; b may be an array or a scalar.  einsum, not BLAS:
@@ -144,12 +136,6 @@ def weighted_dot(grid: Grid, a: np.ndarray, b) -> float:
 def l2e_norm(grid: Grid, values: np.ndarray) -> float:
     """Weighted L2 norm of nodal values."""
     return math.sqrt(max(weighted_dot(grid, values, values), 0.0))
-
-
-def weighted_norms(f: SampledFunction) -> WeightedNorms:
-    """Weighted L1 norm and L2 norm."""
-    l1 = weighted_dot(f.grid, np.abs(f.values), 1.0)
-    return WeightedNorms(l1e=l1, l2e=l2e_norm(f.grid, f.values))
 
 
 @dataclass(frozen=True)
@@ -227,10 +213,6 @@ class IntervalUnion:
                 values[at] = 0.5
         return SampledFunction(grid, values)
 
-    def to_json(self) -> str:
-        out = [["-inf" if math.isinf(a) else a, b] for a, b in self.intervals]
-        return json.dumps(out)
-
     @classmethod
     def from_json(cls, text: str) -> "IntervalUnion":
         """Parse a JSON list of [a, b] pairs of numbers; a may be "-inf"."""
@@ -263,36 +245,25 @@ def total_variation_e(e: IntervalUnion) -> float:
     return total
 
 
-def total_variation_e_sampled(f: SampledFunction) -> float:
-    """Discrete weighted total variation, midpoint weight times |jump|."""
-    return float(np.sum(f.grid.weight_mid * np.abs(np.diff(f.values))))
-
-
 def shift(f: SampledFunction, h: float) -> SampledFunction:
-    """Translate a profile: (shift f)(x) = f(x + h), padding by edge values.
-
-    Exact for shifts that are integer multiples of the grid spacing; other
-    shifts fall back to linear interpolation and emit a warning.
-    """
+    """Translate a profile by whole cells: (shift f)(x) = f(x + h), padding
+    by edge values.  An offset that is not finite, not a multiple of the
+    grid spacing (to 1e-9 cells), or that moves the whole profile off the
+    grid raises ``GridError``."""
     grid = f.grid
     steps = h / grid.h
+    if not math.isfinite(steps):
+        raise GridError(f"shift by {h} is not finite in grid cells")
     k = round(steps)
-    if abs(steps - k) < 1e-9:
-        if abs(k) >= grid.n:
-            raise GridError(
-                f"shift by {h} moves the whole profile off the grid"
-            )
-        values = np.empty_like(f.values)
-        if k >= 0:
-            values[: grid.n - k] = f.values[k:]
-            values[grid.n - k:] = f.values[-1]
-        else:
-            values[-k:] = f.values[:k]
-            values[:-k] = f.values[0]
-        return SampledFunction(grid, values)
-    warnings.warn(
-        f"shift {h} is not grid-aligned; using linear interpolation",
-        stacklevel=2,
-    )
-    values = np.interp(grid.x + h, grid.x, f.values)
+    if abs(steps - k) >= 1e-9:
+        raise GridError(f"shift by {h} is not a whole number of grid cells")
+    if abs(k) >= grid.n:
+        raise GridError(f"shift by {h} moves the whole profile off the grid")
+    values = np.empty_like(f.values)
+    if k >= 0:
+        values[: grid.n - k] = f.values[k:]
+        values[grid.n - k:] = f.values[-1]
+    else:
+        values[-k:] = f.values[:k]
+        values[:-k] = f.values[0]
     return SampledFunction(grid, values)

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from fhn_gamma import wave_speeds
-from fhn_gamma.cli import run
+from fhn_gamma.cli import _csv_text, _emit_profile, run
+from fhn_gamma.epsilon_solver import (
+    DiscreteEnergy,
+    build_recovery,
+    minimize_energy,
+    solver_grid,
+    speed_eps,
+)
+from fhn_gamma.model import Params
+from fhn_gamma.wave_speeds import front_speed, pulse_speed
 from fhn_gamma.weighted_space import Grid, SampledFunction
 
 
@@ -99,7 +108,7 @@ def test_lc_apply_round_trip(tmp_path):
     grid = Grid(-12.0, 4.0, 1601)
     chi = np.where((grid.x > -1.0) & (grid.x < 0.0), 1.0, 0.0)
     src = tmp_path / "chi.csv"
-    SampledFunction(grid, chi).to_csv(src)
+    _emit_profile(grid.x, chi, src)
     dst = tmp_path / "resp.csv"
     code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
                 "--c", "1.0", "--input", str(src), "--output", str(dst)])
@@ -119,7 +128,7 @@ def test_lc_apply_grid_too_long_is_invalid_input(tmp_path, capsys):
     # 3,000 units: past the length the symmetrized inhibitor solve accepts
     grid = Grid(-2990.0, 10.0, 12001)
     src = tmp_path / "long.csv"
-    SampledFunction(grid, np.where(grid.x < 0.0, 1.0, 0.0)).to_csv(src)
+    _emit_profile(grid.x, np.where(grid.x < 0.0, 1.0, 0.0), src)
     code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
                 "--c", "1.0", "--input", str(src)])
     assert code == 2
@@ -183,6 +192,45 @@ def test_minimize_short_budget_reports_nonconvergence(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert not summary["converged"]
     assert out.exists()
+
+
+def _assert_profile_csv(path, grid, values):
+    # the x,value CSV of repr floats that every command writes, read back
+    # bit for bit; the first differing line, not a diff of 6,000 lines
+    lines = path.read_text().splitlines(keepends=True)
+    expected = _csv_text(("x", "value"), zip(grid.x, values))
+    same = "".join(lines) == expected
+    assert same, next(pair for pair in zip(lines, expected.splitlines(True))
+                      if pair[0] != pair[1])
+    back = SampledFunction.from_csv(path)
+    assert np.array_equal(back.grid.x, grid.x)
+    assert np.array_equal(back.values, values)
+
+
+def test_profile_outputs_are_repr_csv(tmp_path):
+    front = Params(5.0, 1.0, 1.0, 0.04)
+    limit = front_speed(front)
+    c_f, e = limit.c_f, limit.limit_set
+    out = tmp_path / "min.csv"
+    assert run(["minimize", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+                "--epsilon", "0.04", "--c", repr(c_f), "--max-iter", "1",
+                "--output", str(out)]) == 3
+    grid = solver_grid(e, 0.04)
+    result = minimize_energy(DiscreteEnergy(grid, c_f, front),
+                             build_recovery(e, front, grid).w.values,
+                             max_iter=1)
+    _assert_profile_csv(out, grid, result.profile.values)
+
+    pulse = Params(2.0, 1.0, 1.0, 0.04)
+    out = tmp_path / "speed.csv"
+    assert run(["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04",
+                "--c-lo", "2.1169", "--c-hi", "2.5614", "--max-iter", "20",
+                "--profile-output", str(out)]) == 3
+    e = pulse_speed(pulse).limit_set
+    grid = solver_grid(e, 0.04)
+    result = speed_eps(pulse, 2.1169, 2.5614, grid,
+                       build_recovery(e, pulse, grid).w.values, max_iter=20)
+    _assert_profile_csv(out, grid, result.profile.values)
 
 
 def test_bad_range_syntax(capsys):
@@ -332,11 +380,17 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
      "--ell-grid", "1:2:1" + "0" * 400],
     ["recovery", *_PULSE_ARGS, "--epsilon", "0.04",
      "--set", "[[0, 1" + "0" * 400 + "]]"],
+    # the solver grid's cell count 44 / (eps / 8) overflows to inf
+    ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+     "--epsilon", "1e-310"],
+    ["study", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+     "--eps-list", "1e-310"],
 ], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
         "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
         "minimize_no_iterations", "negative_tol", "nan_tol",
         "speed_eps_no_iterations", "range_step_overflow",
-        "range_count_overflow", "integer_endpoint_overflow"])
+        "range_count_overflow", "integer_endpoint_overflow",
+        "recovery_tiny_eps", "study_tiny_eps"])
 def test_out_of_range_input_is_invalid_input(argv, capsys):
     # not a traceback, an I/O failure, a non-JSON summary or a run to the cap
     assert run(argv) == 2

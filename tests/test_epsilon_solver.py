@@ -52,9 +52,15 @@ def test_recovery_profile_shape():
 
 
 def test_recovery_profile_reflection():
+    # build_recovery's right ends use the reflection rising(rho_eps - t):
+    # 1 below the window, 0 above, and 1 - rising(t), as F0 is symmetric
+    # about 1/2
     rp = recovery_profile(0.02)
-    t = np.linspace(0.0, rp.rho_eps, 37)
-    assert np.allclose(rp.falling(t), rp.rising(rp.rho_eps - t), atol=1e-14)
+    t = np.linspace(-0.1, rp.rho_eps + 0.1, 37)
+    falling = rp.rising(rp.rho_eps - t)
+    assert np.all(falling[t <= 0.0] == 1.0) and np.all(falling[t >= rp.rho_eps] == 0.0)
+    assert np.all(np.diff(falling) <= 0.0)
+    assert np.allclose(falling, 1.0 - rp.rising(t), atol=1e-13)
 
 
 def test_recovery_profile_rejects_bad_eps():

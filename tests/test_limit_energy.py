@@ -5,7 +5,6 @@ import pytest
 
 from fhn_gamma.errors import InvalidParameterError
 from fhn_gamma.limit_energy import (
-    front_energy,
     interval_energy,
     sharp_interface_energy,
     speed_derivative_factor,
@@ -25,9 +24,10 @@ def test_speed_ratio_range_and_derivative():
     # the front energy's speed derivative is -(sigma / 2 gamma) dH/dc
     d = 1e-6
     for c in (0.3, 1.0, 4.0):
-        fd = (front_energy(c + d, PULSE).value
-              - front_energy(c - d, PULSE).value) / (2 * d)
-        assert front_energy(c, PULSE).derivative == pytest.approx(fd, rel=1e-7)
+        fd = (interval_energy(math.inf, c + d, PULSE).value
+              - interval_energy(math.inf, c - d, PULSE).value) / (2 * d)
+        assert interval_energy(math.inf, c, PULSE).d_speed == pytest.approx(
+            fd, rel=1e-7)
     with pytest.raises(InvalidParameterError):
         speed_ratio(-1.0, 1.0)
 
@@ -36,9 +36,9 @@ def test_speed_ratio_range_and_derivative():
     lambda: speed_ratio(math.nan, 1.0),
     lambda: char_roots(math.inf, 1.0),
     lambda: char_roots(math.nan, 1.0),
-    lambda: front_energy(math.nan, PULSE),
-    lambda: front_energy(math.inf, PULSE),
-    lambda: front_energy(0.0, PULSE),
+    lambda: interval_energy(math.inf, math.nan, PULSE),
+    lambda: interval_energy(math.inf, math.inf, PULSE),
+    lambda: interval_energy(math.inf, 0.0, PULSE),
     lambda: interval_energy(math.nan, 1.0, PULSE),
     lambda: interval_energy(1.0, math.nan, PULSE),
     lambda: width_condition(math.nan, 1.0, PULSE),
@@ -49,8 +49,9 @@ def test_speed_ratio_range_and_derivative():
         "interval_energy_speed", "width_condition_width",
         "width_condition_speed", "speed_derivative_factor"])
 def test_speed_or_width_out_of_range_is_rejected(call):
-    # not computed into NaN, nor into the energy at rest; front_energy needs
-    # c > 0 like every other function of the speed through its decay rates
+    # not computed into NaN, nor into the energy at rest; the front energy
+    # J(inf, c) needs c > 0 like every other function of the speed through
+    # its decay rates
     with pytest.raises(InvalidParameterError):
         call()
 
@@ -63,14 +64,15 @@ def test_interval_energy_small_width_limit():
 def test_interval_energy_infinite_width_is_front_energy():
     for c in (1e-3, 0.8, 30.0):
         je = interval_energy(math.inf, c, PULSE)
-        fe = front_energy(c, PULSE)
-        assert je.value == fe.value
-        assert je.d_speed == fe.derivative
+        # the front energy's speed derivative -(sigma / 2 gamma) dH/dc
+        # = -2 sigma / s^3, with s = sqrt(c^2 + 4 gamma)
+        s = math.sqrt(c * c + 4.0 * PULSE.gamma)
+        assert je.d_speed == pytest.approx(-2.0 * PULSE.sigma / s**3, rel=1e-13)
         assert je.d_width == 0.0
         assert je.d_width2 == 0.0
         # the closed form sqrt(2)/12 (1 - alpha) + sigma (1 - H) / (2 gamma)
         h = speed_ratio(c, PULSE.gamma)
-        assert fe.value == pytest.approx(
+        assert je.value == pytest.approx(
             (SQRT2 / 12.0) * (1.0 - PULSE.alpha)
             + PULSE.sigma * (1.0 - h) / (2.0 * PULSE.gamma), rel=1e-13)
 
@@ -177,9 +179,10 @@ def test_speed_derivative_factor_endpoints_and_sign():
 
 def test_front_energy_decreasing_with_known_zero():
     p = Params(5.0, 1.0, 1.0)
-    values = [front_energy(c, p).value for c in np.linspace(0.01, 3.0, 40)]
+    values = [interval_energy(math.inf, c, p).value
+              for c in np.linspace(0.01, 3.0, 40)]
     assert all(b < a for a, b in zip(values[:-1], values[1:]))
-    assert front_energy(0.11456943748336548, p).value == pytest.approx(
+    assert interval_energy(math.inf, 0.11456943748336548, p).value == pytest.approx(
         0.0, abs=1e-14)
 
 
@@ -211,8 +214,8 @@ def test_sharp_interface_energy_half_line_is_front_energy():
     breakdown = sharp_interface_energy(e, c, PULSE)
     assert breakdown.perimeter_term == pytest.approx(SQRT2 / 12.0)
     assert breakdown.area_term == pytest.approx(-SQRT2 * PULSE.alpha / 12.0)
-    assert breakdown.total == pytest.approx(front_energy(c, PULSE).value,
-                                            rel=1e-12)
+    assert breakdown.total == pytest.approx(
+        interval_energy(math.inf, c, PULSE).value, rel=1e-12)
 
 
 def test_sharp_interface_energy_half_line_at_large_speeds():

@@ -57,13 +57,6 @@ def test_beta_eps_and_cap():
         Params(2.0, 1.0, 1.0).require_small_epsilon()
 
 
-def test_d_of():
-    p = Params(2.0, 1.0, 1.0, 0.1)
-    assert p.d_of(0.5) == pytest.approx(0.04)
-    with pytest.raises(InvalidParameterError):
-        p.d_of(0.0)
-
-
 def test_classify_regimes():
     assert classify(Params(5.0, 1.0, 1.0)).tag is RegimeTag.FRONT
     assert classify(Params(5.0, 1.0, 1.0)).strict

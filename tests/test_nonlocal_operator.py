@@ -13,11 +13,9 @@ from fhn_gamma.nonlocal_operator import (
     InhibitorOperator,
     char_roots,
     lc_indicator,
-    lc_solve_fd,
-    nonlocal_energy,
 )
 from fhn_gamma.wave_speeds import pulse_speed
-from fhn_gamma.weighted_space import Grid, IntervalUnion, SampledFunction
+from fhn_gamma.weighted_space import Grid, IntervalUnion, weighted_dot
 
 
 def test_char_roots_identities():
@@ -236,18 +234,8 @@ def test_nonlocal_energy_positive_and_self_adjoint():
         scale = max(abs(pair_uv), abs(pair_vu), 1e-12)
         # the discrete asymmetry of the weighted pairing is O(h^2)
         assert abs(pair_uv - pair_vu) / scale < 1e-4
-        energy = nonlocal_energy(SampledFunction(grid, u), c, gamma)
+        energy = weighted_dot(grid, u, op.solve(u))
         assert energy >= -1e-10
-
-
-def test_lc_solve_fd_wrapper():
-    grid = Grid(-10.0, 4.0, 1401)
-    f = SampledFunction.from_callable(
-        grid, lambda x: np.exp(-(x + 3.0) ** 2))
-    v = lc_solve_fd(f, 1.0, 1.0)
-    assert v.grid is grid
-    assert np.all(np.isfinite(v.values))
-    assert v.values.max() > 0.0
 
 
 def _pivoting_reference(grid, c, gamma):

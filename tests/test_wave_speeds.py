@@ -6,7 +6,6 @@ import pytest
 from fhn_gamma import limit_energy, wave_speeds
 from fhn_gamma.errors import BracketError, RegimeError
 from fhn_gamma.limit_energy import (
-    front_energy,
     interval_energy,
     width_condition,
     width_condition_at,
@@ -420,7 +419,7 @@ def test_pulse_speed_wrong_regime():
 
 def test_front_beats_finite_intervals_at_front_speed():
     c_f = front_speed(FRONT).c_f
-    floor = front_energy(c_f, FRONT).value
+    floor = interval_energy(math.inf, c_f, FRONT).value
     for ell in np.linspace(0.01, 60.0, 300):
         normalized = interval_energy(float(ell), c_f, FRONT).value \
             / (1.0 - math.exp(-float(ell)))

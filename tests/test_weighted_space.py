@@ -4,16 +4,17 @@ import sys
 import numpy as np
 import pytest
 
+from fhn_gamma.cli import _emit_profile
 from fhn_gamma.errors import GridError, InvalidParameterError
 from fhn_gamma.weighted_space import (
     MAX_INTERVALS,
     Grid,
     IntervalUnion,
     SampledFunction,
+    l2e_norm,
     shift,
     total_variation_e,
-    total_variation_e_sampled,
-    weighted_norms,
+    weighted_dot,
 )
 
 
@@ -40,6 +41,10 @@ def test_grid_for_interval():
     for h in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(GridError):
             Grid.for_interval(2.0, h)
+    # a cell count that overflows to inf, such as 44 / 1e-311
+    for x_hi, h in ((10.0, 1e-311), (math.inf, 0.1)):
+        with pytest.raises(GridError, match="no finite cell count"):
+            Grid.for_interval(x_hi, h)
 
 
 def test_sampled_function_shape_and_finite():
@@ -54,7 +59,7 @@ def test_csv_round_trip(tmp_path):
     g = Grid(-1.0, 1.0, 201)
     f = SampledFunction.from_callable(g, np.sin)
     path = tmp_path / "profile.csv"
-    f.to_csv(path)
+    _emit_profile(g.x, f.values, path)
     back = SampledFunction.from_csv(path)
     assert back.grid.n == g.n
     assert np.allclose(back.values, f.values, atol=1e-12)
@@ -82,11 +87,10 @@ def test_csv_rejects_nonuniform(tmp_path):
 def test_weighted_norms_of_indicator_like_profile():
     g = Grid(-34.0, 0.0, 34001)
     f = SampledFunction(g, np.ones(g.n))
-    norms = weighted_norms(f)
     exact = 1.0 - math.exp(-34.0)
     # trapezoid error for e^x is h^2/12 per unit mass
-    assert norms.l1e == pytest.approx(exact, rel=1e-7)
-    assert norms.l2e == pytest.approx(math.sqrt(exact), rel=1e-7)
+    assert weighted_dot(g, np.abs(f.values), 1.0) == pytest.approx(exact, rel=1e-7)
+    assert l2e_norm(g, f.values) == pytest.approx(math.sqrt(exact), rel=1e-7)
 
 
 def test_shift_identity_grid_aligned():
@@ -95,10 +99,14 @@ def test_shift_identity_grid_aligned():
         g, lambda x: np.exp(-(x + 5.0) ** 2))
     a = 2.0
     shifted = shift(f, a)
-    n0 = weighted_norms(f)
-    n1 = weighted_norms(shifted)
-    assert n1.l1e == pytest.approx(math.exp(-a) * n0.l1e, rel=1e-6)
-    assert n1.l2e == pytest.approx(math.exp(-a / 2.0) * n0.l2e, rel=1e-6)
+
+    def l1e(v):
+        return weighted_dot(g, np.abs(v), 1.0)
+
+    assert l1e(shifted.values) == pytest.approx(math.exp(-a) * l1e(f.values),
+                                                rel=1e-6)
+    assert l2e_norm(g, shifted.values) == pytest.approx(
+        math.exp(-a / 2.0) * l2e_norm(g, f.values), rel=1e-6)
 
 
 def test_shift_round_trip_and_errors():
@@ -111,10 +119,13 @@ def test_shift_round_trip_and_errors():
         shift(f, 2.0)
 
 
-def test_shift_fractional_warns():
+def test_shift_rejects_non_finite_and_off_grid_offsets():
     g = Grid(0.0, 1.0, 101)
     f = SampledFunction.from_callable(g, lambda x: x)
-    with pytest.warns(UserWarning):
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GridError, match="not finite"):
+            shift(f, h)
+    with pytest.raises(GridError, match="whole number of grid cells"):
         shift(f, 0.005)
 
 
@@ -165,7 +176,7 @@ def test_interval_union_measure_and_endpoints():
 
 def test_interval_union_json_round_trip():
     e = IntervalUnion(((1.0, 2.0), (-math.inf, 0.0)))
-    back = IntervalUnion.from_json(e.to_json())
+    back = IntervalUnion.from_json('[[1.0, 2.0], ["-inf", 0.0]]')
     assert back.intervals == e.intervals
 
 
@@ -185,14 +196,6 @@ def test_total_variation_unit_interval_exact():
     assert total_variation_e(e) == 1.0 + math.e
     half = IntervalUnion.single(-math.inf, 0.0)
     assert total_variation_e(half) == 1.0
-
-
-def test_sampled_total_variation_matches_geometric():
-    g = Grid(-8.0, 2.0, 2001)
-    e = IntervalUnion.single(-1.0, 0.5)
-    chi = e.indicator(g)
-    tv = total_variation_e_sampled(chi)
-    assert tv == pytest.approx(total_variation_e(e), rel=1e-3)
 
 
 def test_poincare_inequality_random_profiles():
