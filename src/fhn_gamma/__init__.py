@@ -36,7 +36,6 @@ from .limit_energy import (
     WidthCondition,
     interval_energy,
     sharp_interface_energy,
-    speed_ratio,
     width_condition,
 )
 from .model import (
@@ -85,6 +84,5 @@ __all__ = [
     "gamma_star", "gamma_star_limit", "interval_energy", "lc_indicator",
     "limit_speed", "minimize_energy", "optimal_width", "potentials",
     "pulse_speed", "recovery_profile", "sharp_interface_energy", "shift",
-    "solver_grid", "speed_eps", "speed_ratio", "total_variation_e",
-    "width_condition",
+    "solver_grid", "speed_eps", "total_variation_e", "width_condition",
 ]

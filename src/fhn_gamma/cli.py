@@ -39,7 +39,7 @@ from .errors import (
 )
 from .limit_energy import interval_energy
 from .model import Params, classify
-from .nonlocal_operator import InhibitorOperator
+from .nonlocal_operator import InhibitorOperator, char_roots
 from .wave_speeds import front_speed, limit_speed, pulse_speed
 from .weighted_space import IntervalUnion, SampledFunction
 
@@ -234,9 +234,10 @@ def _cmd_limit_energy(opts):
     p = _params(opts)
     c = opts["c"]
     ells = _range_values(opts["ell_grid"])
+    roots = char_roots(c, p.gamma)
     rows = []
     for ell in ells:
-        je = interval_energy(ell, c, p)
+        je = interval_energy(ell, roots, p)
         rows.append((ell, je.value, je.d_width, je.d_width2, je.d_speed))
     text = _csv_text(("ell", "J", "dJ_dl", "dJ_dl2", "dJ_dc"), rows)
     _emit_text(text, opts["output"])

@@ -3,15 +3,17 @@
 The single-interval energy J(l, c) and its derivatives, the optimal-width
 condition and the auxiliary factor proving monotonicity in the speed are
 closed-form arithmetic in the decay exponents r1, r2 of the inhibitor
-equation.  The energy and the condition each have an ``*_at`` form that
-takes those roots (``CharRoots``), so a solver at a fixed speed builds them
-once.  Widths range over (0, inf]: the front's set, the half-line
-(-inf, 0], is the interval of infinite width, and since e^{-inf} = 0 the
-finite formulas give its values, so the front energy is J(inf, c),
-``interval_energy(inf, c, p)``.  The geometric energy of a union of
-intervals has exact perimeter and area sums; its nonlocal term is closed
-form for a single interval and a first-order finite-difference pairing for
-unions of two or more (ROADMAP item 6 is the closed form for unions).
+equation, so each takes the speed as those roots, ``char_roots(c, gamma)``,
+and a solver at a fixed speed builds them once.  Widths range over
+(0, inf]: the front's set, the half-line (-inf, 0], is the interval of
+infinite width, and since e^{-inf} = 0 the finite formulas give its
+values, so the front energy is J(inf, c),
+``interval_energy(inf, char_roots(c, gamma), p)``.  A term ell e^{-k ell}
+is 0 once its exponential is, so no formula needs a case for ell = inf.
+The geometric energy of a union of intervals has exact perimeter and area
+sums; its nonlocal term is closed form for a single interval and a
+first-order finite-difference pairing for unions of two or more (ROADMAP
+item 6 is the closed form for unions).
 """
 
 from __future__ import annotations
@@ -29,34 +31,19 @@ from .weighted_space import Grid, IntervalUnion, total_variation_e, weighted_dot
 FD_RESOLUTION = 0.005
 
 
-def speed_ratio(c: float, gamma: float) -> float:
-    """Normalized speed H(c) = ``char_roots(c, gamma).ratio``, strictly
-    increasing from 0 at rest toward 1; equals the reciprocal of the root
-    gap r2 - r1."""
-    if not (c >= 0 and gamma > 0):
-        raise InvalidParameterError(f"need c >= 0, gamma > 0; got c={c}, gamma={gamma}")
-    return char_roots(c, gamma).ratio if c > 0 else 0.0
-
-
-def speed_derivative_factor(ell: float, c: float, gamma: float) -> float:
+def speed_derivative_factor(ell: float, roots: CharRoots) -> float:
     """Auxiliary factor whose sign controls the speed-derivative of the
-    interval energy: -1 - e^{-ell} + 2 e^{r1 ell} + (ell/H) e^{r1 ell}.
+    interval energy at the speed whose roots are given:
+    -1 - e^{-ell} + (2 + ell/H) e^{r1 ell}.
 
     Vanishes at ell = 0, is -1 at ell = inf, and is negative for every
-    positive width.
+    positive width.  The last term is 0 once e^{r1 ell} is, also where
+    ell/H would be inf: that is the limit at ell = inf.
     """
     if not ell >= 0:
         raise InvalidParameterError(f"need ell >= 0, got ell={ell}")
-    return _speed_factor(ell, char_roots(c, gamma))
-
-
-def _speed_factor(ell: float, roots: CharRoots) -> float:
-    """``speed_derivative_factor`` from the roots; its limit -1 at
-    ell = inf, where ell e^{r1 ell} would be inf * 0."""
-    if math.isinf(ell):
-        return -1.0
-    return (-1.0 - math.exp(-ell)
-            + (2.0 + ell / roots.ratio) * math.exp(roots.r1 * ell))
+    e1 = math.exp(roots.r1 * ell)
+    return -1.0 - math.exp(-ell) + ((2.0 + ell / roots.ratio) * e1 if e1 else 0.0)
 
 
 def _nonlocal_term(ell: float, roots: CharRoots, p: Params) -> float:
@@ -78,25 +65,19 @@ class IntervalEnergy(NamedTuple):
     d_speed: float
 
 
-def interval_energy(ell: float, c: float, p: Params) -> IntervalEnergy:
-    """Limit energy of a width-ell interval normalized to unit right endpoint
-    weight, with first and second width derivatives and the speed derivative
-    (``interval_energy_at`` on the roots of speed c).  ell = inf gives the
-    front energy sqrt(2)/12 (1 - alpha) + sigma (1 - H(c)) / (2 gamma),
-    strictly decreasing in c, with zero width derivatives."""
-    if not ell > 0:
-        raise InvalidParameterError(f"need ell > 0, got ell={ell}")
-    return interval_energy_at(ell, char_roots(c, p.gamma), p)
-
-
-def interval_energy_at(ell: float, roots: CharRoots, p: Params) -> IntervalEnergy:
-    """``interval_energy`` at a width 0 < ell <= inf and the speed whose
-    roots are given.
+def interval_energy(ell: float, roots: CharRoots, p: Params) -> IntervalEnergy:
+    """Limit energy of an interval of width 0 < ell <= inf normalized to
+    unit right endpoint weight, at the speed whose roots are given, with
+    first and second width derivatives and the speed derivative.  ell = inf
+    gives the front energy sqrt(2)/12 (1 - alpha) + sigma (1 - H) / (2 gamma),
+    strictly decreasing in c, with zero width derivatives.
 
     The speed derivative is computed through the auxiliary factor route:
     d/dc = 2 sigma (c^2 + 4 gamma)^{-3/2} * factor(ell, c), with
     (c^2 + 4 gamma)^{-3/2} = dr1_dc H^2 / (2 gamma).
     """
+    if not ell > 0:
+        raise InvalidParameterError(f"need ell > 0, got ell={ell}")
     alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
     r1 = roots.r1
     h = roots.ratio
@@ -111,7 +92,7 @@ def interval_energy_at(ell: float, roots: CharRoots, p: Params) -> IntervalEnerg
     d_width = -(SQRT2 / 12.0) * (1.0 + alpha) * em - (1.0 + h) * half * (e1 - em)
     d_width2 = em * scaled_width_curvature(ell, roots, p)
     cube = roots.dr1_dc * h * h / (2.0 * gamma)  # (c^2 + 4 gamma)^{-3/2}
-    d_speed = 2.0 * sigma * cube * _speed_factor(ell, roots)
+    d_speed = 2.0 * sigma * cube * speed_derivative_factor(ell, roots)
     return IntervalEnergy(value, d_width, d_width2, d_speed)
 
 
@@ -128,7 +109,7 @@ def scaled_width_curvature(ell: float, roots: CharRoots, p: Params) -> float:
 class WidthCondition(NamedTuple):
     """Value and derivatives of the optimal-width condition; its unique
     ell-root defines the optimal pulse width for a given speed.  A named
-    tuple: the pulse solve builds about 50 per pulse, and a frozen
+    tuple: the pulse solve builds about a dozen per pulse, and a frozen
     dataclass costs more to construct than the condition costs to
     evaluate."""
 
@@ -137,25 +118,17 @@ class WidthCondition(NamedTuple):
     d_speed: float
 
 
-def width_condition(ell: float, c: float, p: Params) -> WidthCondition:
+def width_condition(ell: float, roots: CharRoots, p: Params) -> WidthCondition:
     """The combination of the two pulse optimality conditions whose root in
-    ell picks the optimal width: strictly decreasing in width, strictly
+    ell picks the optimal width, at a width 0 < ell <= inf and the speed
+    whose roots are given: strictly decreasing in width, strictly
     increasing in speed.  Tends to +inf as ell -> 0+ and to
-    sqrt(2) alpha gamma / (6 sigma) - 1 as ell -> inf.  ``width_condition_at``
-    on the roots of speed c; its own limit at ell = inf, where the speed
-    derivative's ell e^{-r2 ell} would be inf * 0.
+    sqrt(2) alpha gamma / (6 sigma) - 1 as ell -> inf.  The speed
+    derivative is ell times a sum of exponentials, 0 once they are, also
+    at ell = inf.
     """
-    if not (ell > 0 and 0 < c < math.inf):
-        raise InvalidParameterError(f"need ell > 0 and 0 < c < inf, got ell={ell}, c={c}")
-    if math.isinf(ell):
-        scale = SQRT2 * p.gamma / (12.0 * p.sigma)
-        return WidthCondition(scale * 2.0 * p.alpha - 1.0, 0.0, 0.0)
-    return width_condition_at(ell, char_roots(c, p.gamma), p)
-
-
-def width_condition_at(ell: float, roots: CharRoots, p: Params) -> WidthCondition:
-    """``width_condition`` at a finite width ell > 0 and the speed whose
-    roots are given."""
+    if not ell > 0:
+        raise InvalidParameterError(f"need ell > 0, got ell={ell}")
     alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
     scale = SQRT2 * gamma / (12.0 * sigma)
     r1, r2 = roots.r1, roots.r2
@@ -166,13 +139,11 @@ def width_condition_at(ell: float, roots: CharRoots, p: Params) -> WidthConditio
     if den2 == 0.0 or den1 == 0.0:
         return WidthCondition(math.inf, -math.inf, math.inf)
     value = scale * ((1.0 + alpha) / den2 + (alpha - 1.0) / den1) - 1.0
-    d_width = scale * (
-        -(1.0 + alpha) * r2 * e2 / den2**2 + (alpha - 1.0) * r1 * e1 / den1**2
-    )
+    sq2, sq1 = den2**2, den1**2
+    d_width = scale * (-(1.0 + alpha) * r2 * e2 / sq2 + (alpha - 1.0) * r1 * e1 / sq1)
     dr1_dc = roots.dr1_dc
-    d_speed = scale * ell * (
-        (1.0 + alpha) * e2 / den2**2 * dr1_dc + (alpha - 1.0) * e1 / den1**2 * dr1_dc
-    )
+    exp_sum = (1.0 + alpha) * e2 / sq2 * dr1_dc + (alpha - 1.0) * e1 / sq1 * dr1_dc
+    d_speed = scale * ell * exp_sum if exp_sum else 0.0
     return WidthCondition(value, d_width, d_speed)
 
 

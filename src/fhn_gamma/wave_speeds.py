@@ -43,12 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BracketError, RegimeError
-from .limit_energy import (
-    interval_energy_at,
-    scaled_width_curvature,
-    speed_ratio,
-    width_condition_at,
-)
+from .limit_energy import interval_energy, scaled_width_curvature, width_condition
 from .model import SQRT2, Params, RegimeTag, classify, require_regime
 from .nonlocal_operator import CharRoots, char_roots
 from .weighted_space import IntervalUnion
@@ -112,10 +107,12 @@ class PulseResult:
 
 def front_condition(c: float, p: Params) -> bool:
     """True when the semi-infinite interval beats every finite width at
-    speed c: sqrt(2) gamma / (6 sigma) >= H(c)."""
+    speed c: sqrt(2) gamma / (6 sigma) >= H(c), with H(c) =
+    ``char_roots(c, gamma).ratio`` and H(0) = 0."""
     if c < 0:
         raise RegimeError(f"speed must be nonnegative, got {c}")
-    return SQRT2 * p.gamma / (6.0 * p.sigma) >= speed_ratio(c, p.gamma)
+    h = 0.0 if c == 0.0 else char_roots(c, p.gamma).ratio
+    return SQRT2 * p.gamma / (6.0 * p.sigma) >= h
 
 
 def _front_energy_root(p: Params) -> tuple[float, float]:
@@ -139,7 +136,7 @@ def front_speed(p: Params) -> FrontResult:
     h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma)."""
     regime = require_regime(p, RegimeTag.FRONT)
     h_star, c_f = _front_energy_root(p)
-    front_energy = interval_energy_at(math.inf, char_roots(c_f, p.gamma), p)
+    front_energy = interval_energy(math.inf, char_roots(c_f, p.gamma), p)
     residual = abs(front_energy.value)
     if not front_condition(c_f, p):  # pragma: no cover - excluded by regime
         raise RegimeError("front speed violates the semi-infinite optimality condition")
@@ -220,7 +217,7 @@ def _width_root(roots: CharRoots, p: Params, scale: float,
     hi = math.inf
 
     def f(ell):
-        q = width_condition_at(ell, roots, p)
+        q = width_condition(ell, roots, p)
         if q.value > 0.0 and ell > 1e12:  # pragma: no cover - defensive
             raise BracketError("optimal-width bracket expansion failed")
         return q.value, q.d_width, q
@@ -278,7 +275,7 @@ def pulse_speed(p: Params) -> PulseResult:
         ell, q = _width_root(roots, p, scale, start)
         dl_dc = -q.d_speed / q.d_width
         prev = (c, ell, dl_dc)
-        je = interval_energy_at(ell, roots, p)
+        je = interval_energy(ell, roots, p)
         return je.value, je.d_speed + je.d_width * dl_dc, (ell, je, q, roots)
 
     c_bar = _front_energy_root(p)[1]

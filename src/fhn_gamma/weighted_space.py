@@ -73,12 +73,14 @@ class Grid:
 
     @classmethod
     def for_interval(cls, x_hi: float, h: float, x_lo: float = DEFAULT_X_LO) -> "Grid":
-        """Grid covering [x_lo, x_hi] with spacing at most h."""
+        """Grid covering [x_lo, x_hi] with spacing at most h.  Refuses a cell
+        count that is not finite or that no float64 array could hold."""
         if not 0.0 < h < math.inf:
             raise GridError(f"grid spacing must be finite and positive, got {h}")
         cells = (x_hi - x_lo) / h
-        if not math.isfinite(cells):
-            raise GridError(f"[{x_lo}, {x_hi}] at spacing {h} has no finite cell count")
+        if not cells < np.iinfo(np.intp).max // 8:
+            raise GridError(f"[{x_lo}, {x_hi}] at spacing {h} has no finite cell "
+                            f"count that a float64 array can hold: {cells}")
         return cls(x_lo, x_hi, max(3, math.ceil(cells) + 1))
 
 

@@ -23,7 +23,6 @@ from fhn_gamma.limit_energy import (
     interval_energy,
     sharp_interface_energy,
     speed_derivative_factor,
-    speed_ratio,
     width_condition,
 )
 from fhn_gamma.model import SQRT2, Params, gamma_star, gamma_star_limit
@@ -56,8 +55,10 @@ def test_criterion_1_front_speed_closed_form():
         t0 = time.perf_counter()
         result = front_speed(FRONT)
         best = min(best, time.perf_counter() - t0)
-    oracle = brentq(lambda c: interval_energy(math.inf, c, FRONT).value, 1e-6, 1.0,
-                    xtol=1e-15, rtol=8.9e-16)
+    def front_energy(c):
+        return interval_energy(math.inf, char_roots(c, FRONT.gamma), FRONT).value
+
+    oracle = brentq(front_energy, 1e-6, 1.0, xtol=1e-15, rtol=8.9e-16)
     ok = (result.residual < 1e-12
           and abs(result.c_f - oracle) < 1e-10
           and abs(result.c_f - 0.114569) < 1e-6
@@ -74,14 +75,14 @@ def _newton_2d(ell0, c0):
     ell, c = ell0, c0
     d = 1e-7
     for _ in range(80):
-        je = interval_energy(ell, c, PULSE)
+        je = interval_energy(ell, char_roots(c, PULSE.gamma), PULSE)
         f = np.array([je.value, je.d_width])
         if max(abs(f[0]), abs(f[1])) < 1e-13:
             return ell, c
         jac = np.empty((2, 2))
         for j, (dl, dc) in enumerate(((d, 0.0), (0.0, d))):
-            p_hi = interval_energy(ell + dl, c + dc, PULSE)
-            p_lo = interval_energy(ell - dl, c - dc, PULSE)
+            p_hi = interval_energy(ell + dl, char_roots(c + dc, PULSE.gamma), PULSE)
+            p_lo = interval_energy(ell - dl, char_roots(c - dc, PULSE.gamma), PULSE)
             jac[0, j] = (p_hi.value - p_lo.value) / (2 * d)
             jac[1, j] = (p_hi.d_width - p_lo.d_width) / (2 * d)
         step = np.linalg.solve(jac, f)
@@ -104,7 +105,8 @@ def test_criterion_2_pulse_oracle_equivalence():
         ell_n, c_n = _newton_2d(ell0, c0)
         agreements.append((abs(c_n - result.c_p), abs(ell_n - result.ell_p)))
     worst = max(max(pair) for pair in agreements)
-    curvature = interval_energy(result.ell_p, result.c_p, PULSE).d_width2
+    roots = char_roots(result.c_p, PULSE.gamma)
+    curvature = interval_energy(result.ell_p, roots, PULSE).d_width2
     ok = (worst < 1e-8 and result.ell_p > math.log(3.0)
           and curvature > 0.0 and best < 1e-2)
     _report(2, ok, f"c_p={result.c_p:.12f}, ell_p={result.ell_p:.12f}, "
@@ -122,16 +124,17 @@ def test_criterion_3_monotonicity_and_signs():
     for _ in range(n):
         ell = rng.uniform(1e-3, 50.0)
         c = rng.uniform(1e-3, 50.0)
-        if speed_derivative_factor(ell, c, 1.0) >= slack:
+        r = char_roots(c, 1.0)  # PULSE and FRONT both have gamma = 1
+        if speed_derivative_factor(ell, r) >= slack:
             violations["K"] += 1
-        if interval_energy(ell, c, PULSE).d_speed >= slack:
+        if interval_energy(ell, r, PULSE).d_speed >= slack:
             violations["dJ_dc"] += 1
-        q = width_condition(ell, c, PULSE)
+        q = width_condition(ell, r, PULSE)
         if q.d_width >= slack:
             violations["dQ_dl"] += 1
         if q.d_speed <= -slack:
             violations["dQ_dc"] += 1
-        if interval_energy(math.inf, c, FRONT).d_speed >= slack:
+        if interval_energy(math.inf, r, FRONT).d_speed >= slack:
             violations["dF_dc"] += 1
     for _ in range(n):
         c = rng.uniform(1e-3, 50.0)
@@ -152,9 +155,9 @@ def test_criterion_4_identity_suite():
         c = rng.uniform(0.02, 50.0)
         r = char_roots(c, 1.0)
         worst["roots_sum"] = max(worst["roots_sum"], abs(r.r1 + r.r2 + 1.0))
-        h = speed_ratio(c, 1.0)
+        h = r.ratio
         worst["gap"] = max(worst["gap"], abs(r.gap - 1.0 / h) * h)
-        je = interval_energy(ell, c, PULSE)
+        je = interval_energy(ell, r, PULSE)
         chain = (0.5 * (1.0 + h) * (1.0 - math.exp(-r.r2 * ell))
                  - (SQRT2 / 12.0) * (PULSE.alpha + 1.0))
         lhs = math.exp(ell) * je.d_width
@@ -164,7 +167,7 @@ def test_criterion_4_identity_suite():
         # general linear relation between the width condition, the energy
         # and its width derivative (the stated two-term form is its
         # restriction to the zero-energy set)
-        q = width_condition(ell, c, PULSE).value
+        q = width_condition(ell, r, PULSE).value
         comb = ((je.d_width + je.value) / (1.0 - math.exp(r.r1 * ell))
                 + math.exp(ell) * je.d_width / (1.0 - math.exp(-r.r2 * ell)))
         worst["q_relation"] = max(
@@ -175,7 +178,7 @@ def test_criterion_4_identity_suite():
         c = rng.uniform(0.05, 20.0)
         e = IntervalUnion.single(b - ell, b)
         total = sharp_interface_energy(e, c, PULSE).total
-        ref = math.exp(b) * interval_energy(ell, c, PULSE).value
+        ref = math.exp(b) * interval_energy(ell, char_roots(c, 1.0), PULSE).value
         worst["jstar"] = max(worst["jstar"],
                              abs(total - ref) / max(abs(ref), 1e-12))
     # the two-term form holds on the zero-energy set: check it at the pulse
@@ -183,11 +186,11 @@ def test_criterion_4_identity_suite():
     r = char_roots(pr.c_p, 1.0)
     bracket = (1.0 / (1.0 - math.exp(r.r1 * pr.ell_p))
                + math.exp(pr.ell_p) / (1.0 - math.exp(-r.r2 * pr.ell_p)))
-    lhs = interval_energy(pr.ell_p, pr.c_p, PULSE).d_width
-    rhs = -width_condition(pr.ell_p, pr.c_p, PULSE).value / bracket
+    lhs = interval_energy(pr.ell_p, r, PULSE).d_width
+    rhs = -width_condition(pr.ell_p, r, PULSE).value / bracket
     at_pulse = abs(lhs - rhs)
-    small = abs(interval_energy(1e-12, 1.0, PULSE).value - SQRT2 / 6.0) \
-        / (SQRT2 / 6.0)
+    small = abs(interval_energy(1e-12, char_roots(1.0, 1.0), PULSE).value
+                - SQRT2 / 6.0) / (SQRT2 / 6.0)
     ok = (max(worst.values()) < 1e-10 and at_pulse < 1e-10
           and small < 1e-10)
     _report(4, ok, "max relative errors: "

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -253,6 +255,18 @@ def test_range_near_float_max_keeps_finite_points(grid, expected, capsys):
     assert [float(row.split(",")[0]) for row in rows] == expected
 
 
+def test_limit_energy_at_widths_near_float_max_is_the_front_energy(capsys):
+    # ell / H overflows there, and e^{r1 ell} = 0: every row reads the
+    # speed derivative of J(inf, 1), not NaN
+    assert run(["limit-energy", *_PULSE_ARGS, "--c", "1",
+                "--ell-grid", "1e308:1.7e308:3"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.values()), row
+        assert row["dJ_dc"] == "-0.17888543819998315"
+
+
 def test_speed_eps_short_budget_reports_nonconvergence(
         capsys, monkeypatch, minimized_speeds):
     calls = []
@@ -385,12 +399,18 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
      "--epsilon", "1e-310"],
     ["study", "--alpha", "5", "--gamma", "1", "--sigma", "1",
      "--eps-list", "1e-310"],
+    # 352 / eps cells: finite, but more than any float64 array can hold
+    ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+     "--epsilon", "1e-20"],
+    ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+     "--epsilon", "1e-300"],
 ], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
         "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
         "minimize_no_iterations", "negative_tol", "nan_tol",
         "speed_eps_no_iterations", "range_step_overflow",
         "range_count_overflow", "integer_endpoint_overflow",
-        "recovery_tiny_eps", "study_tiny_eps"])
+        "recovery_tiny_eps", "study_tiny_eps", "recovery_eps_1e-20",
+        "recovery_eps_1e-300"])
 def test_out_of_range_input_is_invalid_input(argv, capsys):
     # not a traceback, an I/O failure, a non-JSON summary or a run to the cap
     assert run(argv) == 2

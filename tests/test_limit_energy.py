@@ -8,7 +8,6 @@ from fhn_gamma.limit_energy import (
     interval_energy,
     sharp_interface_energy,
     speed_derivative_factor,
-    speed_ratio,
     width_condition,
 )
 from fhn_gamma.model import SQRT2, Params
@@ -19,35 +18,39 @@ PULSE = Params(2.0, 1.0, 1.0)
 
 
 def test_speed_ratio_range_and_derivative():
-    assert speed_ratio(0.0, 1.0) == 0.0
-    assert speed_ratio(1e9, 1.0) == pytest.approx(1.0, rel=1e-12)
+    # H(c) = char_roots(c, gamma).ratio rises toward 1; c <= 0 has no
+    # decay rates, and front_condition takes H(0) = 0 itself
+    assert char_roots(1e9, 1.0).ratio == pytest.approx(1.0, rel=1e-12)
     # the front energy's speed derivative is -(sigma / 2 gamma) dH/dc
     d = 1e-6
     for c in (0.3, 1.0, 4.0):
-        fd = (interval_energy(math.inf, c + d, PULSE).value
-              - interval_energy(math.inf, c - d, PULSE).value) / (2 * d)
-        assert interval_energy(math.inf, c, PULSE).d_speed == pytest.approx(
-            fd, rel=1e-7)
+        fd = (interval_energy(math.inf, char_roots(c + d, 1.0), PULSE).value
+              - interval_energy(math.inf, char_roots(c - d, 1.0), PULSE).value
+              ) / (2 * d)
+        je = interval_energy(math.inf, char_roots(c, 1.0), PULSE)
+        assert je.d_speed == pytest.approx(fd, rel=1e-7)
     with pytest.raises(InvalidParameterError):
-        speed_ratio(-1.0, 1.0)
+        char_roots(-1.0, 1.0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: speed_ratio(math.nan, 1.0),
     lambda: char_roots(math.inf, 1.0),
     lambda: char_roots(math.nan, 1.0),
-    lambda: interval_energy(math.inf, math.nan, PULSE),
-    lambda: interval_energy(math.inf, math.inf, PULSE),
-    lambda: interval_energy(math.inf, 0.0, PULSE),
-    lambda: interval_energy(math.nan, 1.0, PULSE),
-    lambda: interval_energy(1.0, math.nan, PULSE),
-    lambda: width_condition(math.nan, 1.0, PULSE),
-    lambda: width_condition(math.inf, math.nan, PULSE),
-    lambda: speed_derivative_factor(math.nan, 1.0, 1.0),
-], ids=["speed_ratio", "char_roots_inf", "char_roots_nan", "front_energy_nan",
+    lambda: interval_energy(math.inf, char_roots(math.nan, 1.0), PULSE),
+    lambda: interval_energy(math.inf, char_roots(math.inf, 1.0), PULSE),
+    lambda: interval_energy(math.inf, char_roots(0.0, 1.0), PULSE),
+    lambda: interval_energy(math.nan, char_roots(1.0, 1.0), PULSE),
+    lambda: interval_energy(1.0, char_roots(math.nan, 1.0), PULSE),
+    lambda: width_condition(math.nan, char_roots(1.0, 1.0), PULSE),
+    lambda: width_condition(math.inf, char_roots(math.nan, 1.0), PULSE),
+    lambda: speed_derivative_factor(math.nan, char_roots(1.0, 1.0)),
+    lambda: interval_energy(0.0, char_roots(1.0, 1.0), PULSE),
+    lambda: width_condition(-1.0, char_roots(1.0, 1.0), PULSE),
+], ids=["char_roots_inf", "char_roots_nan", "front_energy_nan",
         "front_energy_inf", "front_energy_zero", "interval_energy_width",
         "interval_energy_speed", "width_condition_width",
-        "width_condition_speed", "speed_derivative_factor"])
+        "width_condition_speed", "speed_derivative_factor",
+        "interval_energy_zero_width", "width_condition_negative_width"])
 def test_speed_or_width_out_of_range_is_rejected(call):
     # not computed into NaN, nor into the energy at rest; the front energy
     # J(inf, c) needs c > 0 like every other function of the speed through
@@ -57,13 +60,14 @@ def test_speed_or_width_out_of_range_is_rejected(call):
 
 
 def test_interval_energy_small_width_limit():
-    je = interval_energy(1e-12, 1.3, PULSE)
+    je = interval_energy(1e-12, char_roots(1.3, 1.0), PULSE)
     assert je.value == pytest.approx(SQRT2 / 6.0, rel=1e-10)
 
 
 def test_interval_energy_infinite_width_is_front_energy():
     for c in (1e-3, 0.8, 30.0):
-        je = interval_energy(math.inf, c, PULSE)
+        r = char_roots(c, PULSE.gamma)
+        je = interval_energy(math.inf, r, PULSE)
         # the front energy's speed derivative -(sigma / 2 gamma) dH/dc
         # = -2 sigma / s^3, with s = sqrt(c^2 + 4 gamma)
         s = math.sqrt(c * c + 4.0 * PULSE.gamma)
@@ -71,10 +75,23 @@ def test_interval_energy_infinite_width_is_front_energy():
         assert je.d_width == 0.0
         assert je.d_width2 == 0.0
         # the closed form sqrt(2)/12 (1 - alpha) + sigma (1 - H) / (2 gamma)
-        h = speed_ratio(c, PULSE.gamma)
         assert je.value == pytest.approx(
             (SQRT2 / 12.0) * (1.0 - PULSE.alpha)
-            + PULSE.sigma * (1.0 - h) / (2.0 * PULSE.gamma), rel=1e-13)
+            + PULSE.sigma * (1.0 - r.ratio) / (2.0 * PULSE.gamma), rel=1e-13)
+
+
+def test_interval_energy_at_widths_past_the_decay_is_the_front_energy():
+    # once e^{r1 ell} underflows, the speed factor's (ell / H) e^{r1 ell}
+    # is 0, also where ell / H overflows to inf
+    for c in (1.0, 1e-3):
+        r = char_roots(c, PULSE.gamma)
+        front = interval_energy(math.inf, r, PULSE)
+        for ell in (1e3, 1e308, 1.7e308):
+            je = interval_energy(ell, r, PULSE)
+            assert je.d_speed == front.d_speed
+            assert je.value == front.value
+    r = char_roots(1.0, 1.0)
+    assert interval_energy(1.7e308, r, PULSE).d_speed == -0.17888543819998315
 
 
 def test_interval_energy_derivatives_match_finite_differences():
@@ -83,15 +100,16 @@ def test_interval_energy_derivatives_match_finite_differences():
         ell = rng.uniform(0.2, 15.0)
         c = rng.uniform(0.1, 8.0)
         d = 1e-5
-        je = interval_energy(ell, c, PULSE)
-        vp = interval_energy(ell + d, c, PULSE).value
-        vm = interval_energy(ell - d, c, PULSE).value
+        r = char_roots(c, PULSE.gamma)
+        je = interval_energy(ell, r, PULSE)
+        vp = interval_energy(ell + d, r, PULSE).value
+        vm = interval_energy(ell - d, r, PULSE).value
         assert je.d_width == pytest.approx((vp - vm) / (2 * d), rel=2e-6,
                                            abs=1e-10)
         assert je.d_width2 == pytest.approx((vp - 2 * je.value + vm) / d**2,
                                             rel=5e-4, abs=1e-6)
-        cp = interval_energy(ell, c + d, PULSE).value
-        cm = interval_energy(ell, c - d, PULSE).value
+        cp = interval_energy(ell, char_roots(c + d, PULSE.gamma), PULSE).value
+        cm = interval_energy(ell, char_roots(c - d, PULSE.gamma), PULSE).value
         assert je.d_speed == pytest.approx((cp - cm) / (2 * d), rel=2e-5,
                                            abs=1e-10)
 
@@ -102,10 +120,11 @@ def test_interval_energy_speed_derivative_from_the_roots(gamma):
     p = Params(2.0, gamma, 1.0)
     for c in np.geomspace(1e-3, 1e2, 101):
         c = float(c)
+        r = char_roots(c, gamma)
         for ell in (1e-3, 0.5, 3.0, 20.0, 300.0, math.inf):
             ref = (2.0 * p.sigma / (c * c + 4.0 * gamma) ** 1.5
-                   * speed_derivative_factor(ell, c, gamma))
-            d_speed = interval_energy(ell, c, p).d_speed
+                   * speed_derivative_factor(ell, r))
+            d_speed = interval_energy(ell, r, p).d_speed
             assert d_speed == pytest.approx(ref, rel=8 * np.finfo(float).eps)
 
 
@@ -116,10 +135,9 @@ def test_width_derivative_identity_chain():
     for _ in range(300):
         ell = rng.uniform(1e-3, 40.0)
         c = rng.uniform(0.02, 50.0)
-        je = interval_energy(ell, c, PULSE)
-        h = speed_ratio(c, PULSE.gamma)
         r = char_roots(c, PULSE.gamma)
-        rhs = (0.5 * (1.0 + h) * (1.0 - math.exp(-r.r2 * ell))
+        je = interval_energy(ell, r, PULSE)
+        rhs = (0.5 * (1.0 + r.ratio) * (1.0 - math.exp(-r.r2 * ell))
                - (SQRT2 / 12.0) * 3.0)
         lhs = math.exp(ell) * je.d_width
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -132,9 +150,9 @@ def test_width_condition_is_linear_combination_of_energy_and_derivative():
     for _ in range(300):
         ell = rng.uniform(1e-3, 40.0)
         c = rng.uniform(0.02, 50.0)
-        je = interval_energy(ell, c, PULSE)
         r = char_roots(c, PULSE.gamma)
-        q = width_condition(ell, c, PULSE).value
+        je = interval_energy(ell, r, PULSE)
+        q = width_condition(ell, r, PULSE).value
         lhs = ((je.d_width + je.value) / (1.0 - math.exp(r.r1 * ell))
                + math.exp(ell) * je.d_width
                / (1.0 - math.exp(-r.r2 * ell)))
@@ -142,48 +160,63 @@ def test_width_condition_is_linear_combination_of_energy_and_derivative():
 
 
 def test_width_condition_limits_and_monotonicity():
-    c = 1.5
-    small = width_condition(1e-6, c, PULSE).value
+    r = char_roots(1.5, PULSE.gamma)
+    small = width_condition(1e-6, r, PULSE).value
     assert small > 1e4
-    tail = width_condition(math.inf, c, PULSE).value
-    assert tail == pytest.approx(
+    tail = width_condition(math.inf, r, PULSE)
+    assert tail.value == pytest.approx(
         SQRT2 * PULSE.alpha * PULSE.gamma / (6.0 * PULSE.sigma) - 1.0,
         rel=1e-12)
-    assert tail < 0.0
+    assert tail.value < 0.0
+    assert tail.d_width == 0.0 and tail.d_speed == 0.0
     prev = math.inf
     for ell in np.linspace(0.1, 20.0, 50):
-        v = width_condition(float(ell), c, PULSE).value
+        v = width_condition(float(ell), r, PULSE).value
         assert v < prev
         prev = v
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.3, 2.0, 4.4])
+def test_width_condition_at_infinity_continues_the_finite_values(alpha):
+    # once both exponentials underflow, every width gives the value at
+    # ell = inf, and its speed derivative ell * 0 is 0, not inf * 0
+    p = Params(alpha, 1.0, 1.0)
+    r = char_roots(1.0, 1.0)
+    tail = width_condition(math.inf, r, p)
+    for ell in (1e4, 1e6, 1.7e308):
+        assert width_condition(ell, r, p) == tail
+    assert tail.d_speed == 0.0
 
 
 def test_width_condition_speed_derivative_matches_fd():
     d = 1e-6
     for ell, c in [(1.0, 0.7), (4.0, 2.0), (9.0, 5.0)]:
-        q = width_condition(ell, c, PULSE)
-        fd = (width_condition(ell, c + d, PULSE).value
-              - width_condition(ell, c - d, PULSE).value) / (2 * d)
+        q = width_condition(ell, char_roots(c, PULSE.gamma), PULSE)
+        fd = (width_condition(ell, char_roots(c + d, PULSE.gamma), PULSE).value
+              - width_condition(ell, char_roots(c - d, PULSE.gamma), PULSE).value
+              ) / (2 * d)
         assert q.d_speed == pytest.approx(fd, rel=1e-6, abs=1e-12)
         assert q.d_speed > 0.0
 
 
 def test_speed_derivative_factor_endpoints_and_sign():
-    assert speed_derivative_factor(0.0, 1.0, 1.0) == 0.0
-    assert speed_derivative_factor(math.inf, 1.0, 1.0) == -1.0
+    assert speed_derivative_factor(0.0, char_roots(1.0, 1.0)) == 0.0
+    assert speed_derivative_factor(math.inf, char_roots(1.0, 1.0)) == -1.0
     rng = np.random.default_rng(6)
     for _ in range(200):
         ell = rng.uniform(1e-6, 50.0)
         c = rng.uniform(1e-3, 50.0)
-        assert speed_derivative_factor(ell, c, 1.0) < 0.0
+        assert speed_derivative_factor(ell, char_roots(c, 1.0)) < 0.0
 
 
 def test_front_energy_decreasing_with_known_zero():
     p = Params(5.0, 1.0, 1.0)
-    values = [interval_energy(math.inf, c, p).value
+    values = [interval_energy(math.inf, char_roots(c, p.gamma), p).value
               for c in np.linspace(0.01, 3.0, 40)]
     assert all(b < a for a, b in zip(values[:-1], values[1:]))
-    assert interval_energy(math.inf, 0.11456943748336548, p).value == pytest.approx(
-        0.0, abs=1e-14)
+    c_f = 0.11456943748336548
+    assert interval_energy(math.inf, char_roots(c_f, p.gamma), p).value \
+        == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sharp_interface_energy_single_interval_closed_form():
@@ -191,7 +224,7 @@ def test_sharp_interface_energy_single_interval_closed_form():
     for a, b in [(-1.0, 0.5), (-6.0, -2.0), (0.0, 3.0)]:
         e = IntervalUnion.single(a, b)
         breakdown = sharp_interface_energy(e, c, PULSE)
-        je = interval_energy(b - a, c, PULSE)
+        je = interval_energy(b - a, char_roots(c, PULSE.gamma), PULSE)
         assert breakdown.total == pytest.approx(
             math.exp(b) * je.value, rel=1e-11, abs=1e-13)
 
@@ -203,7 +236,7 @@ def test_sharp_interface_energy_normalized_interval():
     e = IntervalUnion.single(b - ell, b)
     assert e.l1e_norm == pytest.approx(1.0, rel=1e-12)
     breakdown = sharp_interface_energy(e, c, PULSE)
-    je = interval_energy(ell, c, PULSE)
+    je = interval_energy(ell, char_roots(c, PULSE.gamma), PULSE)
     assert breakdown.total == pytest.approx(
         je.value / (1.0 - math.exp(-ell)), rel=1e-11)
 
@@ -214,8 +247,8 @@ def test_sharp_interface_energy_half_line_is_front_energy():
     breakdown = sharp_interface_energy(e, c, PULSE)
     assert breakdown.perimeter_term == pytest.approx(SQRT2 / 12.0)
     assert breakdown.area_term == pytest.approx(-SQRT2 * PULSE.alpha / 12.0)
-    assert breakdown.total == pytest.approx(
-        interval_energy(math.inf, c, PULSE).value, rel=1e-12)
+    front = interval_energy(math.inf, char_roots(c, PULSE.gamma), PULSE)
+    assert breakdown.total == pytest.approx(front.value, rel=1e-12)
 
 
 def test_sharp_interface_energy_half_line_at_large_speeds():

@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from fhn_gamma.epsilon_solver import solver_grid
 from fhn_gamma.errors import GridError, InvalidParameterError
-from fhn_gamma.limit_energy import sharp_interface_energy, speed_ratio
+from fhn_gamma.limit_energy import sharp_interface_energy
 from fhn_gamma.model import Params
 from fhn_gamma.nonlocal_operator import (
     InhibitorOperator,
@@ -42,8 +42,6 @@ def test_char_roots_speed_dependence(gamma):
             / (2.0 * dc)
         assert r.dr1_dc == pytest.approx(fd, rel=1e-7)
         assert r.ratio == pytest.approx(1.0 / r.gap, rel=1e-13)
-        assert r.ratio == speed_ratio(c, gamma)
-    assert speed_ratio(0.0, gamma) == 0.0
 
 
 def test_char_roots_rejects_bad_input():

@@ -5,11 +5,7 @@ import pytest
 
 from fhn_gamma import limit_energy, wave_speeds
 from fhn_gamma.errors import BracketError, RegimeError
-from fhn_gamma.limit_energy import (
-    interval_energy,
-    width_condition,
-    width_condition_at,
-)
+from fhn_gamma.limit_energy import interval_energy, width_condition
 from fhn_gamma.model import SQRT2, Params
 from fhn_gamma.nonlocal_operator import char_roots
 from fhn_gamma.wave_speeds import (
@@ -78,7 +74,8 @@ def test_front_condition():
 def test_optimal_width_solves_the_condition():
     for c in (0.3, 1.0, 2.33, 7.0):
         ell = optimal_width(c, PULSE)
-        assert abs(width_condition(ell, c, PULSE).value) < 1e-10
+        q = width_condition(ell, char_roots(c, PULSE.gamma), PULSE)
+        assert abs(q.value) < 1e-10
 
 
 def test_optimal_width_increasing_in_speed():
@@ -126,22 +123,24 @@ def test_pulse_speed_reference_point():
 
 def test_pulse_speed_is_width_minimum():
     result = pulse_speed(PULSE)
-    je = interval_energy(result.ell_p, result.c_p, PULSE)
-    assert je.d_width2 > 0.0
+    roots = char_roots(result.c_p, PULSE.gamma)
+    assert interval_energy(result.ell_p, roots, PULSE).d_width2 > 0.0
 
 
 def test_pulse_global_minimality_in_width():
     result = pulse_speed(PULSE)
+    roots = char_roots(result.c_p, PULSE.gamma)
     for ell in np.linspace(0.05, 40.0, 200):
         if abs(ell - result.ell_p) < 0.05:
             continue
-        assert interval_energy(float(ell), result.c_p, PULSE).value > 0.0
+        assert interval_energy(float(ell), roots, PULSE).value > 0.0
 
 
 def test_pulse_speed_unique_across_brackets():
     # outer bisection from scattered initial brackets lands on the same speed
     def g(c):
-        return interval_energy(optimal_width(c, PULSE), c, PULSE).value
+        roots = char_roots(c, PULSE.gamma)
+        return interval_energy(optimal_width(c, PULSE), roots, PULSE).value
 
     reference = pulse_speed(PULSE).c_p
     brackets = [(0.1, 5.0), (0.5, 10.0), (1.0, 4.0), (2.0, 3.0),
@@ -221,8 +220,9 @@ def _newton_2d_scaled(ell, c, p):
 def test_pulse_speed_across_the_regime(point):
     p = Params(*point)
     result = pulse_speed(p)
-    je = interval_energy(result.ell_p, result.c_p, p)
-    q = width_condition(result.ell_p, result.c_p, p)
+    roots = char_roots(result.c_p, p.gamma)
+    je = interval_energy(result.ell_p, roots, p)
+    q = width_condition(result.ell_p, roots, p)
     for residual in (je.value, je.d_width, q.value, *result.residuals.values()):
         assert abs(residual) <= 1e-12
     _, curvature = _scaled_system(result.ell_p, result.c_p, p)
@@ -244,14 +244,15 @@ def test_pulse_speed_near_alpha_one():
     result = pulse_speed(p)
     assert result.c_p == pytest.approx(92.099, rel=1e-4)
     assert result.ell_p == pytest.approx(2281.9, rel=1e-4)
-    assert interval_energy(result.ell_p, result.c_p, p).d_width2 == 0.0
+    roots = char_roots(result.c_p, p.gamma)
+    assert interval_energy(result.ell_p, roots, p).d_width2 == 0.0
     assert max(result.residuals.values()) <= 1e-12
 
 
 def test_pulse_speed_call_counts(monkeypatch):
-    # the roots are counted where the solve builds them and where the
-    # limit-energy wrappers would: one set per distinct speed, and no more
-    # width or energy evaluations than when every evaluation built its own
+    # the roots are counted in both modules that build them: one set per
+    # distinct speed, and no more width or energy evaluations than when
+    # every evaluation built its own
     speeds = []
     calls = {"width": 0, "energy": 0}
 
@@ -271,14 +272,44 @@ def test_pulse_speed_call_counts(monkeypatch):
                         roots_counted(wave_speeds.char_roots))
     monkeypatch.setattr(limit_energy, "char_roots",
                         roots_counted(limit_energy.char_roots))
-    monkeypatch.setattr(wave_speeds, "width_condition_at",
-                        counted("width", wave_speeds.width_condition_at))
-    monkeypatch.setattr(wave_speeds, "interval_energy_at",
-                        counted("energy", wave_speeds.interval_energy_at))
+    monkeypatch.setattr(wave_speeds, "width_condition",
+                        counted("width", wave_speeds.width_condition))
+    monkeypatch.setattr(wave_speeds, "interval_energy",
+                        counted("energy", wave_speeds.interval_energy))
     result = pulse_speed(PULSE)
     assert result.c_p == pytest.approx(C_P_ORACLE, rel=1e-12)
     assert len(speeds) == len(set(speeds)) == calls["energy"] <= 4
     assert 0 < calls["width"] <= 12
+
+
+def test_the_solvers_call_the_limit_energy_names(monkeypatch):
+    # wave_speeds holds limit_energy's own functions, so a wrapper swapped in
+    # for every module attribute that refers to one (as a call counter
+    # does) sees every evaluation: the reported residual is the last one
+    assert wave_speeds.width_condition is limit_energy.width_condition
+    assert wave_speeds.interval_energy is limit_energy.interval_energy
+    seen = {"width": [], "energy": []}
+
+    def recorded(key, fn):
+        def wrapper(ell, roots, p):
+            out = fn(ell, roots, p)
+            seen[key].append((ell, out.value))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(wave_speeds, "width_condition",
+                        recorded("width", width_condition))
+    monkeypatch.setattr(wave_speeds, "interval_energy",
+                        recorded("energy", interval_energy))
+    result = pulse_speed(PULSE)
+    assert 1 <= len(seen["width"]) <= 12
+    ell, q = seen["width"][-1]
+    assert ell == result.ell_p and abs(q) == result.residuals["Q"]
+    ell, j = seen["energy"][-1]
+    assert ell == result.ell_p and abs(j) == result.residuals["J"]
+    seen["energy"].clear()
+    front_speed(FRONT)
+    assert [ell for ell, _ in seen["energy"]] == [math.inf]
 
 
 def _width_left_end(c, p):
@@ -296,17 +327,18 @@ def test_optimal_width_from_the_left_of_the_root(monkeypatch):
     values = []
 
     def recorded(ell, roots, p):
-        q = width_condition_at(ell, roots, p)
+        q = width_condition(ell, roots, p)
         values.append(q.value)
         return q
 
-    monkeypatch.setattr(wave_speeds, "width_condition_at", recorded)
+    monkeypatch.setattr(wave_speeds, "width_condition", recorded)
     for c in (0.5, 1.0, 2.33, 7.0):
         values.clear()
         ell = optimal_width(c, PULSE)
         assert values[0] > 0.0  # the start: the left end l_-
         assert min(values) > -1e-12
-        assert abs(width_condition(ell, c, PULSE).value) <= 1e-12
+        q = width_condition(ell, char_roots(c, PULSE.gamma), PULSE)
+        assert abs(q.value) <= 1e-12
         if c <= 1.0:
             # several Newton steps from the left, all in the open bracket
             assert len(values) >= 5
@@ -330,7 +362,7 @@ def test_width_condition_positive_at_the_left_bracket_end():
             for c in np.geomspace(1e-3, 1e2, 41):
                 roots = char_roots(float(c), gamma)
                 ell0 = SQRT2 * gamma * (1.0 + alpha) / (12.0 * sigma * roots.r2)
-                assert width_condition_at(ell0, roots, p).value > 0.0
+                assert width_condition(ell0, roots, p).value > 0.0
                 if alpha >= top:  # (20, 5) with alpha = 1.1: no pulse, no l_-
                     continue
                 ell_minus = _width_left_end(float(c), p)
@@ -339,7 +371,7 @@ def test_width_condition_positive_at_the_left_bracket_end():
                 # (1 - e^{r1 l}) > 0 exactly; where e^{r1 l_-} is below
                 # rounding, l_- is the root to rounding and the computed Q
                 # lands within a few ulps of 0 on either side
-                q = width_condition_at(ell_minus, roots, p).value
+                q = width_condition(ell_minus, roots, p).value
                 e1 = math.exp(roots.r1 * ell_minus)
                 gap = SQRT2 * gamma / (12.0 * sigma) * (alpha - 1.0) * e1 / (1.0 - e1)
                 assert q == pytest.approx(gap, rel=1e-12, abs=8.0 * eps)
@@ -372,8 +404,9 @@ def test_pulse_speed_at_small_widths(point):
     assert abs(-math.exp(result.b) * math.expm1(-result.ell_p) - 1.0) <= 1e-12
     assert result.residuals["J"] <= 1e-10
     assert result.residuals["Q"] <= 1e-10
-    assert abs(interval_energy(result.ell_p, result.c_p, p).value) <= 1e-10
-    assert abs(width_condition(result.ell_p, result.c_p, p).value) <= 1e-10
+    roots = char_roots(result.c_p, p.gamma)
+    assert abs(interval_energy(result.ell_p, roots, p).value) <= 1e-10
+    assert abs(width_condition(result.ell_p, roots, p).value) <= 1e-10
 
 
 @pytest.mark.parametrize("gamma, sigma", [(1.0, 1.0), (0.05, 0.5), (0.9, 1.65)])
@@ -419,9 +452,10 @@ def test_pulse_speed_wrong_regime():
 
 def test_front_beats_finite_intervals_at_front_speed():
     c_f = front_speed(FRONT).c_f
-    floor = interval_energy(math.inf, c_f, FRONT).value
+    roots = char_roots(c_f, FRONT.gamma)
+    floor = interval_energy(math.inf, roots, FRONT).value
     for ell in np.linspace(0.01, 60.0, 300):
-        normalized = interval_energy(float(ell), c_f, FRONT).value \
+        normalized = interval_energy(float(ell), roots, FRONT).value \
             / (1.0 - math.exp(-float(ell)))
         # the margin decays like e^{r1 ell}; at very large widths it sinks
         # below rounding, so allow machine slack there
