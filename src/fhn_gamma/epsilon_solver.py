@@ -28,6 +28,7 @@ from .nonlocal_operator import (
 )
 from .wave_speeds import _newton_root, limit_speed
 from .weighted_space import (
+    GRID_PAD,
     Grid,
     IntervalUnion,
     SampledFunction,
@@ -42,8 +43,10 @@ SPEED_BRACKET_TOL = 1e-3
 SPEED_GRAD_TOL = 1e-6
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
-#: solver grids reach this far past both ends of the set
-GRID_PAD = 10.0
+#: solver grids hold at most this many nodes: 80 MB per float64 array, of
+#: which the recovery and the minimizer each build several (the front's
+#: half-line needs 245,788 nodes at eps = 1e-3 and 2.46e9 at eps = 1e-7)
+MAX_GRID_NODES = 10_000_000
 #: recovery profiles are sampled at this many points, from an inverse taken
 #: on this many quadrature points in u
 RECOVERY_NODES = 20001
@@ -167,7 +170,7 @@ def solver_grid(e: IntervalUnion, eps: float) -> Grid:
     the recovery profile is first order in node placement.  Raises
     ``GridError``, before any node exists, for a grid too long for the
     inhibitor solve (``scale_log_growth`` above MAX_LOG_SCALE, about 2,600
-    units).
+    units) or with more than MAX_GRID_NODES nodes.
     """
     x_hi = e.rightmost + GRID_PAD
     h = Grid.for_interval(x_hi, eps / 8.0).h
@@ -182,6 +185,11 @@ def solver_grid(e: IntervalUnion, eps: float) -> Grid:
     cells = math.ceil((x_hi - start) / h)
     if x_hi - cells * h > start:
         cells += 1
+    if cells + 1 > MAX_GRID_NODES:
+        raise GridError(
+            f"solver grid at eps={eps:g} needs {cells + 1} nodes, more than "
+            f"MAX_GRID_NODES = {MAX_GRID_NODES:,}"
+        )
     return Grid(x_hi - cells * h, x_hi, cells + 1)
 
 

@@ -24,6 +24,8 @@ from .errors import GridError, InvalidParameterError
 
 #: left cutoff with e^{x_lo} ~ 1.7e-15, negligible against unit-mass profiles
 DEFAULT_X_LO = -34.0
+#: grids around a set reach this far past both of its ends
+GRID_PAD = 10.0
 
 #: cap on the number of intervals in a union; minimizers are single intervals
 MAX_INTERVALS = 16
@@ -201,18 +203,35 @@ class IntervalUnion:
         return self.intervals[-1][0]
 
     def indicator(self, grid: Grid) -> SampledFunction:
-        """Sample the indicator on a grid; nodes at a jump (within 1e-12 of
-        an endpoint) get the value 1/2, which keeps the finite-difference
-        inhibitor solve second-order accurate; no node is at a = -inf."""
-        x = grid.x
-        values = np.zeros_like(x)
-        tol = 1e-12 * max(1.0, grid.h)
+        """Dual-cell averages of the indicator: node i gets the fraction of
+        [x_i - h/2, x_i + h/2] that lies in the set.  That is 1 inside, 0
+        outside, the exact fraction at the one or two nodes beside an
+        endpoint, and exactly 1/2 at a node on a jump (an endpoint within
+        1e-12 max(1, h) of it).  The averages keep the finite-difference
+        inhibitor solve and the trapezoid pairing second-order accurate
+        wherever the endpoints lie.  No node is at a = -inf."""
+        n, h, x_lo = grid.n, grid.h, grid.x_lo
+        tol = 1e-12 * max(1.0, h)
+        values = np.zeros(n)
+
+        def cell_position(endpoint: float) -> float:
+            # in units where node i's cell is [i, i + 1], clipped to the grid's
+            # cells; an endpoint on a node sits exactly mid-cell
+            t = (endpoint - x_lo) / h
+            k = round(t) if abs(t) < n else -1
+            if 0 <= k < n and abs(x_lo + k * h - endpoint) <= tol:
+                return k + 0.5
+            return min(max(t + 0.5, 0.0), float(n))
+
         for a, b in self.intervals:
-            inside = (x > a + tol) & (x < b - tol)
-            values[inside] = 1.0
-            for endpoint in (a, b):
-                at = np.abs(x - endpoint) <= tol
-                values[at] = 0.5
+            lo, hi = cell_position(a), cell_position(b)
+            if not lo < hi:
+                continue  # the interval misses every cell
+            k, m = int(lo), int(hi)
+            values[k] += min(hi, k + 1) - lo
+            values[k + 1:m] = 1.0
+            if k < m < n:
+                values[m] += hi - m
         return SampledFunction(grid, values)
 
     @classmethod

@@ -404,13 +404,16 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
      "--epsilon", "1e-20"],
     ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
      "--epsilon", "1e-300"],
+    # 2.46e9 nodes: a finite count, refused before any array is built
+    ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+     "--epsilon", "1e-7"],
 ], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
         "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
         "minimize_no_iterations", "negative_tol", "nan_tol",
         "speed_eps_no_iterations", "range_step_overflow",
         "range_count_overflow", "integer_endpoint_overflow",
         "recovery_tiny_eps", "study_tiny_eps", "recovery_eps_1e-20",
-        "recovery_eps_1e-300"])
+        "recovery_eps_1e-300", "recovery_eps_1e-7"])
 def test_out_of_range_input_is_invalid_input(argv, capsys):
     # not a traceback, an I/O failure, a non-JSON summary or a run to the cap
     assert run(argv) == 2

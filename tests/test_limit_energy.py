@@ -11,7 +11,7 @@ from fhn_gamma.limit_energy import (
     width_condition,
 )
 from fhn_gamma.model import SQRT2, Params
-from fhn_gamma.nonlocal_operator import char_roots
+from fhn_gamma.nonlocal_operator import char_roots, lc_indicator
 from fhn_gamma.weighted_space import IntervalUnion
 
 PULSE = Params(2.0, 1.0, 1.0)
@@ -275,6 +275,36 @@ def test_sharp_interface_energy_union_superadditive():
     t2 = sharp_interface_energy(e2, c, PULSE).nonlocal_term
     tu = sharp_interface_energy(union, c, PULSE).nonlocal_term
     assert tu > t1 + t2 + 1e-4
+
+
+def _union_pairing_reference(e: IntervalUnion, c: float, p: Params) -> float:
+    """(sigma/2) times the integral of e^x chi_E L_c chi_E: the closed-form
+    responses of the intervals, summed and integrated by a fine trapezoid
+    rule over each interval."""
+    responses = [(b, lc_indicator(b - a, c, p.gamma)) for a, b in e.intervals]
+    total = 0.0
+    for a, b in e.intervals:
+        x = np.linspace(a, b, 40001)
+        v = sum(sol(x - b_j) for b_j, sol in responses)
+        total += np.trapezoid(np.exp(x) * v, x)
+    return 0.5 * p.sigma * total
+
+
+@pytest.mark.parametrize("c", [0.2, 0.7, 2.0, 5.0])
+def test_union_pairing_second_order_with_off_node_endpoints(c):
+    # cell-averaged indicator data on a grid fitted to the set: endpoints
+    # that fall between nodes keep their place, so the pairing is second
+    # order (node sampling moved each endpoint by up to h/2: 3.6e-3 off on
+    # the first union at c = 0.7)
+    for intervals in (
+            ((1.234, 1.9), (-0.37, 0.811), (-5.1, -2.05)),
+            ((0.3333, 0.91), (-1.0017, 0.1234)),
+            ((1.9871, 1.9999), (-2.3456, 1.0001), (-3.03, -2.9),
+             (-5.977, -4.1))):
+        e = IntervalUnion(intervals)
+        got = sharp_interface_energy(e, c, PULSE).nonlocal_term
+        want = _union_pairing_reference(e, c, PULSE)
+        assert got == pytest.approx(want, rel=5e-4), intervals
 
 
 def test_sharp_interface_energy_union_fd_consistency():

@@ -294,6 +294,15 @@ def test_solver_grid_too_long_raises_before_building_nodes():
         solver_grid(IntervalUnion.single(-1e300, 0.0), 0.04)
 
 
+def test_solver_grid_past_the_node_bound_raises_before_building_nodes():
+    # the front's half-line at eps = 1e-7 needs 2.46e9 nodes, 19.7 GB per
+    # array; eps = 1e-3 (245,788 nodes) still builds
+    half_line = IntervalUnion.single(-math.inf, 0.0)
+    with pytest.raises(GridError, match="MAX_GRID_NODES"):
+        solver_grid(half_line, 1e-7)
+    assert solver_grid(half_line, 1e-3).n == 245788
+
+
 def test_cap_counts_the_right_end_robin_coefficient():
     # at c = 90 the solves form D_{n-1} times the right-end Robin
     # coefficient, about 2 c^2/(h gamma) = 3.2e5; a grid just under the cap

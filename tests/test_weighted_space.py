@@ -191,6 +191,30 @@ def test_indicator_marks_jumps_with_half():
     assert chi.values[: i_a].max() == 0.0
 
 
+def test_indicator_averages_chi_over_each_dual_cell():
+    # node i gets the fraction of [x_i - h/2, x_i + h/2] inside the set:
+    # [0.75, 2.75] covers 3/4 of node 1's cell and 1/4 of node 3's, and
+    # [3.6, 3.9] lies inside node 4's cell [3.5, 4.5]
+    g = Grid(0.0, 5.0, 6)
+    e = IntervalUnion(((3.6, 3.9), (0.75, 2.75)))
+    assert e.indicator(g).values == pytest.approx(
+        [0.0, 0.75, 1.0, 0.25, 0.3, 0.0], abs=1e-12)
+    # two intervals sharing node 2's cell [1.5, 2.5]
+    e = IntervalUnion(((2.2, 4.0), (-math.inf, 1.7)))
+    assert e.indicator(g).values == pytest.approx(
+        [1.0, 1.0, 0.5, 1.0, 0.5, 0.0], abs=1e-12)
+    # off-node endpoints on a fine grid: h times the sum of the averages is
+    # the set's measure, with no endpoint moved to a node
+    g = Grid(-8.0, 4.0, 2401)
+    e = IntervalUnion(((1.234, 1.9), (-0.37, 0.811), (-5.1, -2.05)))
+    chi = e.indicator(g).values
+    measure = sum(b - a for a, b in e.intervals)
+    assert g.h * chi.sum() == pytest.approx(measure, rel=1e-12)
+    i = int((1.234 - g.x_lo) / g.h + 0.5)  # the node whose cell holds 1.234
+    assert chi[i] == pytest.approx((g.x[i] + 0.5 * g.h - 1.234) / g.h, abs=1e-9)
+    assert 0.0 < chi[i] < 1.0
+
+
 def test_total_variation_unit_interval_exact():
     e = IntervalUnion.single(0.0, 1.0)
     assert total_variation_e(e) == 1.0 + math.e
