@@ -45,7 +45,6 @@ from .model import (
     classify,
     gamma_star,
     gamma_star_limit,
-    potentials,
 )
 from .nonlocal_operator import (
     CharRoots,
@@ -56,7 +55,6 @@ from .nonlocal_operator import (
 from .wave_speeds import (
     FrontResult,
     PulseResult,
-    front_condition,
     front_speed,
     limit_speed,
     optimal_width,
@@ -80,9 +78,9 @@ __all__ = [
     "Params", "PulseResult", "RecoveryProfile", "Regime", "RegimeError",
     "RegimeTag", "SampledFunction", "SpeedResult", "SpeedStep",
     "StudyResult", "WidthCondition", "build_recovery", "char_roots",
-    "classify", "convergence_study", "front_condition", "front_speed",
-    "gamma_star", "gamma_star_limit", "interval_energy", "lc_indicator",
-    "limit_speed", "minimize_energy", "optimal_width", "potentials",
-    "pulse_speed", "recovery_profile", "sharp_interface_energy", "shift",
-    "solver_grid", "speed_eps", "total_variation_e", "width_condition",
+    "classify", "convergence_study", "front_speed", "gamma_star",
+    "gamma_star_limit", "interval_energy", "lc_indicator", "limit_speed",
+    "minimize_energy", "optimal_width", "pulse_speed", "recovery_profile",
+    "sharp_interface_energy", "shift", "solver_grid", "speed_eps",
+    "total_variation_e", "width_condition",
 ]

@@ -201,12 +201,13 @@ def _nonlocal_pairing_fd(e: IntervalUnion, c: float, p: Params) -> float:
     """Weighted self-pairing of the cell-averaged indicator with its
     finite-difference inhibitor response.  The grid reaches GRID_PAD past
     the set: the data vanish outside it, where the operator's Robin ends
-    (v' = r2 v on the left, v' = r1 v on the right) are exact.  A set
-    reaching -inf is cut at DEFAULT_X_LO, which drops weight e^{x_lo}."""
+    (v' = r2 v on the left, v' = r1 v on the right) are exact.  A half-line
+    (-inf, b] is cut at min(DEFAULT_X_LO, b + DEFAULT_X_LO), which drops at
+    most e^{DEFAULT_X_LO} times its own weight e^b."""
     roots = char_roots(c, p.gamma)
     h = min(FD_RESOLUTION, 0.4 / max(-roots.r1, roots.r2))
-    left = e.leftmost
-    x_lo = DEFAULT_X_LO if math.isinf(left) else left - GRID_PAD
+    a, b = e.intervals[-1]
+    x_lo = min(DEFAULT_X_LO, b + DEFAULT_X_LO) if math.isinf(a) else a - GRID_PAD
     grid = Grid.for_interval(e.rightmost + GRID_PAD, h, x_lo=x_lo)
     chi = e.indicator(grid).values
     v = InhibitorOperator(grid, c, p.gamma).solve(chi)

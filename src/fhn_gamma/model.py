@@ -3,8 +3,7 @@ classification.
 
 The activator nonlinearity is the cubic ``f(u) = -u (u - beta) (u - 1)`` whose
 unstable zero ``beta`` is tied to the interface-width parameter ``epsilon``.
-All other quantities here (double-well potential, its tilt, the interface-cost
-primitive ``phi``) are derived from it.
+The balanced double well ``F0`` and its tilt ``G`` are derived from it.
 """
 
 from __future__ import annotations
@@ -102,17 +101,6 @@ def classify(p: Params) -> Regime:
     return Regime(RegimeTag.NEITHER)
 
 
-@dataclass(frozen=True)
-class PotentialValues:
-    """Pointwise values of the nonlinearity and its derived potentials."""
-
-    f_eps: float
-    F0: float
-    G: float
-    F_eps: float
-    phi: float
-
-
 def f_eps(u, beta):
     """Cubic nonlinearity -u (u - beta) (u - 1), vectorized; at
     beta = Params.beta_eps it is minus the derivative of F0 + alpha eps G."""
@@ -127,32 +115,6 @@ def F0(u):
 def G(u):
     """Tilt potential (u^3/3 - u^2/2) / sqrt(2), vectorized."""
     return (u * u * u / 3.0 - 0.5 * u * u) / SQRT2
-
-
-def _phi(u: float) -> float:
-    """Interface-cost primitive: integral of sqrt(2 F0) = |G'| from 0 to u.
-
-    G' = u (u - 1) / sqrt(2) is negative on (0, 1) and positive outside, so
-    phi is -G on [0, 1], G below 0, and G - 2 G(1) = G + sqrt(2)/6 above 1.
-    """
-    if u < 0.0:
-        return G(u)
-    if u <= 1.0:
-        return -G(u)
-    return G(u) + SQRT2 / 6.0
-
-
-def potentials(u: float, p: Params) -> PotentialValues:
-    """Evaluate the cubic, the balanced double well F0, the tilt G, the full
-    potential F_eps = F0 + alpha*epsilon*G, and the primitive phi at u."""
-    f0, g = F0(u), G(u)
-    return PotentialValues(
-        f_eps=f_eps(u, p.beta_eps),
-        F0=f0,
-        G=g,
-        F_eps=f0 + p.alpha * p.epsilon * g,
-        phi=_phi(u),
-    )
 
 
 def gamma_star(p: Params) -> float:

@@ -105,16 +105,6 @@ class PulseResult:
         }
 
 
-def front_condition(c: float, p: Params) -> bool:
-    """True when the semi-infinite interval beats every finite width at
-    speed c: sqrt(2) gamma / (6 sigma) >= H(c), with H(c) =
-    ``char_roots(c, gamma).ratio`` and H(0) = 0."""
-    if c < 0:
-        raise RegimeError(f"speed must be nonnegative, got {c}")
-    h = 0.0 if c == 0.0 else char_roots(c, p.gamma).ratio
-    return SQRT2 * p.gamma / (6.0 * p.sigma) >= h
-
-
 def _front_energy_root(p: Params) -> tuple[float, float]:
     """h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma) and the root of the
     front energy, 2 h* sqrt(gamma) / sqrt(1 - h*^2): the front speed in
@@ -133,13 +123,13 @@ def _front_energy_root(p: Params) -> tuple[float, float]:
 
 def front_speed(p: Params) -> FrontResult:
     """Closed-form front speed c_f = 2 h* sqrt(gamma) / sqrt(1 - h*^2) with
-    h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma)."""
+    h* = 1 - (alpha - 1) gamma / (3 sqrt(2) sigma).  H(c_f) = h*, so the
+    regime test of ``classify`` is the front's condition; boundary fronts
+    (strict=False) solve."""
     regime = require_regime(p, RegimeTag.FRONT)
     h_star, c_f = _front_energy_root(p)
     front_energy = interval_energy(math.inf, char_roots(c_f, p.gamma), p)
     residual = abs(front_energy.value)
-    if not front_condition(c_f, p):  # pragma: no cover - excluded by regime
-        raise RegimeError("front speed violates the semi-infinite optimality condition")
     return FrontResult(c_f=c_f, h_star=h_star, residual=residual,
                        strict=regime.strict)
 

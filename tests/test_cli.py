@@ -36,6 +36,14 @@ def test_front_speed_to_file(tmp_path):
     assert data["c"] == pytest.approx(0.114569, abs=1e-6)
 
 
+def test_front_speed_on_the_regime_boundary(capsys):
+    # alpha = 3 sqrt(2) sigma / gamma to the last bit: a front, not strict
+    assert run(["front-speed", "--alpha", "21.213203435596427",
+                "--gamma", "0.1", "--sigma", "0.5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["strict"] is False and data["residual"] <= 1e-13
+
+
 def test_pulse_speed_wrong_regime_exit_code(capsys):
     code = run(["pulse-speed", "--alpha", "0.5", "--gamma", "1",
                 "--sigma", "1"])

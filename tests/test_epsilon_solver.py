@@ -22,7 +22,7 @@ from fhn_gamma.epsilon_solver import (
 )
 from fhn_gamma.errors import BracketError, InvalidParameterError
 from fhn_gamma.limit_energy import sharp_interface_energy
-from fhn_gamma.model import F0, Params, potentials
+from fhn_gamma.model import F0, G, Params
 from fhn_gamma.wave_speeds import front_speed, limit_speed, pulse_speed
 from fhn_gamma.weighted_space import (
     Grid,
@@ -223,8 +223,9 @@ def test_minimize_descends_and_respects_lower_bound():
     # pointwise potential bound: the energy cannot sink below the most
     # negative value of the rescaled potential over the box
     lo, hi = engine.box
-    m2 = max(-min(potentials(u, p).F_eps for u in np.linspace(lo, hi, 400))
-             / max(u * u for u in (lo, hi)), 0.0)
+    u = np.linspace(lo, hi, 400)
+    f_full = F0(u) + p.alpha * p.epsilon * G(u)
+    m2 = max(-f_full.min() / max(lo * lo, hi * hi), 0.0)
     assert result.value >= -(m2 / p.epsilon) - p.alpha - 1.0
 
 

@@ -19,7 +19,7 @@ PULSE = Params(2.0, 1.0, 1.0)
 
 def test_speed_ratio_range_and_derivative():
     # H(c) = char_roots(c, gamma).ratio rises toward 1; c <= 0 has no
-    # decay rates, and front_condition takes H(0) = 0 itself
+    # decay rates
     assert char_roots(1e9, 1.0).ratio == pytest.approx(1.0, rel=1e-12)
     # the front energy's speed derivative is -(sigma / 2 gamma) dH/dc
     d = 1e-6
@@ -317,3 +317,17 @@ def test_sharp_interface_energy_union_fd_consistency():
 
     fd = 0.5 * PULSE.sigma * _nonlocal_pairing_fd(e, c, PULSE)
     assert fd == pytest.approx(closed, rel=1e-4)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
+def test_union_with_a_half_line_far_left_is_translation_covariant(c):
+    # shifting a set by t scales each energy part by e^t; the pairing grid
+    # starts DEFAULT_X_LO left of the half-line's right end, so a half-line
+    # ending far left of DEFAULT_X_LO keeps its grid, shifted
+    far = IntervalUnion(((-50.0, -46.0), (-math.inf, -60.0)))
+    near = IntervalUnion(((10.0, 14.0), (-math.inf, 0.0)))
+    got = sharp_interface_energy(far, c, PULSE)
+    want = sharp_interface_energy(near, c, PULSE)
+    for name in ("perimeter_term", "area_term", "nonlocal_term"):
+        assert getattr(got, name) == pytest.approx(
+            math.exp(-60.0) * getattr(want, name), rel=1e-12), name

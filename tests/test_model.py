@@ -9,17 +9,21 @@ from scipy.integrate import quad
 
 import fhn_gamma
 from fhn_gamma.errors import InvalidParameterError, RegimeError
+from fhn_gamma.limit_energy import sharp_interface_energy
 from fhn_gamma.model import (
+    F0,
     SQRT2,
+    G,
     Params,
     RegimeTag,
     box_constants,
     classify,
+    f_eps,
     gamma_star,
     gamma_star_limit,
-    potentials,
     require_regime,
 )
+from fhn_gamma.weighted_space import IntervalUnion
 
 # equal-area slope at (alpha=2, sigma=1, eps=0.01), frozen from the closed
 # formula before the module was written
@@ -81,44 +85,37 @@ def test_require_regime():
 
 def test_potential_values():
     p = Params(2.0, 1.0, 1.0, 0.01)
-    assert potentials(0.0, p).F0 == 0.0
-    assert potentials(1.0, p).F0 == 0.0
-    assert potentials(0.5, p).F0 == pytest.approx(1.0 / 64.0, rel=1e-14)
-    assert potentials(1.0, p).G == pytest.approx(-SQRT2 / 12.0, rel=1e-14)
-    assert potentials(1.0, p).phi == pytest.approx(SQRT2 / 12.0, rel=1e-14)
+    assert F0(0.0) == 0.0
+    assert F0(1.0) == 0.0
+    assert F0(0.5) == pytest.approx(1.0 / 64.0, rel=1e-14)
+    assert G(1.0) == pytest.approx(-SQRT2 / 12.0, rel=1e-14)
     # zeros of the cubic at 0, beta, 1
     for u in (0.0, p.beta_eps, 1.0):
-        assert potentials(u, p).f_eps == pytest.approx(0.0, abs=1e-15)
-
-
-def test_full_potential_combines_well_and_tilt():
-    p = Params(2.0, 1.0, 1.0, 0.02)
-    for u in (-0.3, 0.1, 0.5, 0.9, 1.2):
-        v = potentials(u, p)
-        assert v.F_eps == pytest.approx(v.F0 + p.alpha * p.epsilon * v.G,
-                                        rel=1e-14, abs=1e-16)
+        assert f_eps(u, p.beta_eps) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cubic_is_negative_gradient_of_full_potential():
+    # F_eps = F0 + alpha eps G, and f_eps at beta_eps is -F_eps'
     p = Params(2.0, 1.0, 1.0, 0.05)
     d = 1e-6
+
+    def f_full(u):
+        return F0(u) + p.alpha * p.epsilon * G(u)
+
     for u in (0.1, 0.4, 0.7, 0.95):
-        fd = (potentials(u + d, p).F_eps - potentials(u - d, p).F_eps) / (2 * d)
-        assert fd == pytest.approx(-potentials(u, p).f_eps, abs=1e-9)
+        fd = (f_full(u + d) - f_full(u - d)) / (2 * d)
+        assert fd == pytest.approx(-f_eps(u, p.beta_eps), abs=1e-9)
 
 
-def test_phi_outside_unit_interval_is_monotone_continuation():
-    p = Params(2.0, 1.0, 1.0)
-    assert potentials(-0.2, p).phi < 0.0
-    assert potentials(1.2, p).phi > potentials(1.0, p).phi
-    # phi is the integral of sqrt(2 F0) from 0, on both sides of [0, 1]
-    def sqrt_2f0(s):
-        return math.sqrt(2.0 * potentials(s, p).F0)
-
-    for u in (-2.0, -0.2, 0.3, 1.0, 1.2, 3.0):
-        breaks = [0.0, 1.0, u] if u > 1.0 else [0.0, u]
-        ref = sum(quad(sqrt_2f0, a, b)[0] for a, b in zip(breaks, breaks[1:]))
-        assert potentials(u, p).phi == pytest.approx(ref, rel=1e-12, abs=1e-15)
+@pytest.mark.parametrize("a, b", [(-1.5, 0.3), (-0.2, 4.0), (-7.0, -2.5)])
+def test_perimeter_weight_is_the_interface_cost_of_the_double_well(a, b):
+    # each interface costs phi(1) = integral of sqrt(2 F0) over [0, 1] times
+    # its weight e^x: the perimeter term the limit energy uses
+    phi_1 = quad(lambda s: math.sqrt(2.0 * F0(s)), 0.0, 1.0)[0]
+    term = sharp_interface_energy(IntervalUnion.single(a, b), 1.0,
+                                  Params(2.0, 1.0, 1.0)).perimeter_term
+    assert term == pytest.approx(phi_1 * (math.exp(a) + math.exp(b)),
+                                 rel=1e-12)
 
 
 def test_import_does_not_load_scipy_integrate_or_optimize():

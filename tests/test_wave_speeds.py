@@ -6,12 +6,11 @@ import pytest
 from fhn_gamma import limit_energy, wave_speeds
 from fhn_gamma.errors import BracketError, RegimeError
 from fhn_gamma.limit_energy import interval_energy, width_condition
-from fhn_gamma.model import SQRT2, Params
+from fhn_gamma.model import SQRT2, Params, classify
 from fhn_gamma.nonlocal_operator import char_roots
 from fhn_gamma.wave_speeds import (
     FrontResult,
     PulseResult,
-    front_condition,
     front_speed,
     limit_speed,
     optimal_width,
@@ -50,12 +49,6 @@ def test_front_speed_wrong_regime():
         front_speed(PULSE)
 
 
-def test_front_speed_boundary_is_not_strict():
-    result = front_speed(Params(3.0 * SQRT2, 1.0, 1.0))
-    assert not result.strict
-    assert result.residual < 1e-12
-
-
 def test_front_speed_monotone_in_alpha_and_sigma():
     speeds_alpha = [front_speed(Params(a, 1.0, 1.0)).c_f
                     for a in (4.4, 4.7, 5.0, 5.2)]
@@ -65,10 +58,36 @@ def test_front_speed_monotone_in_alpha_and_sigma():
     assert all(b > a for a, b in zip(speeds_sigma[:-1], speeds_sigma[1:]))
 
 
-def test_front_condition():
-    assert front_condition(0.0, FRONT)
-    assert front_condition(front_speed(FRONT).c_f, FRONT)
-    assert not front_condition(100.0, PULSE)
+def _boundary_fronts():
+    """Points alpha = 3 sqrt(2) sigma / gamma for gamma, sigma in
+    {0.1, 0.2, ..., 4.0} that ``classify`` calls fronts."""
+    values = [k / 10.0 for k in range(1, 41)]
+    points = [Params(3.0 * SQRT2 * s / g, g, s) for g in values for s in values]
+    return [q for q in points if classify(q).is_front]
+
+
+BOUNDARY_FRONTS = _boundary_fronts()
+
+
+def test_front_speed_boundary_is_not_strict():
+    # front_speed decides the regime by classify alone, boundary included
+    assert len(BOUNDARY_FRONTS) == 1426
+    assert Params(3.0 * SQRT2, 1.0, 1.0) in BOUNDARY_FRONTS
+    for q in BOUNDARY_FRONTS:
+        result = front_speed(q)
+        assert not result.strict, q
+        assert result.residual <= 1e-13, q
+
+
+@pytest.mark.parametrize(
+    "q", [FRONT, Params(21.213203435596427, 0.1, 0.5)] + BOUNDARY_FRONTS[::97],
+    ids=lambda q: f"{q.alpha!r}-{q.gamma}-{q.sigma}")
+def test_front_speed_is_where_the_speed_ratio_reaches_h_star(q):
+    # H(c_f) = h*: the half-line's optimality condition sqrt(2) gamma /
+    # (6 sigma) >= H(c_f) is classify's alpha >= 3 sqrt(2) sigma / gamma
+    result = front_speed(q)
+    assert char_roots(result.c_f, q.gamma).ratio == pytest.approx(
+        result.h_star, rel=1e-15)
 
 
 def test_optimal_width_solves_the_condition():
