@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, GridError, InvalidParameterError
-from .model import F0, G, Params, box_constants, f_eps
+from .model import F0, G, Params, f_eps
 from .nonlocal_operator import (
     MAX_LOG_SCALE,
     InhibitorOperator,
@@ -151,9 +151,29 @@ class AdmissibleProfile:
 
 
 def profile_box(p: Params) -> tuple[float, float]:
-    """Box [-m1 - 1, beta2] confining admissible profiles."""
-    m1, beta2 = box_constants(p)
-    return (-m1 - 1.0, beta2)
+    """Box [-m1 - 1, beta2] confining admissible profiles: beta2 = 1.01, and
+    m1 > 0 solves f_eps(-M) = M (M + beta) (M + 1) = beta2 / gamma.
+
+    y = b M, with b = cbrt(gamma), solves y (y + beta b) (y + b) = beta2,
+    which overflows for no gamma > 0.  Less beta2, its left side is concave
+    and decreasing (beta > 0 at small epsilon) and at most 0 at cbrt(beta2)
+    and beta2 / (beta b^2), so ``_newton_root`` from the smaller converges
+    monotonically (rightward where rounding reads it positive, as in
+    ``pulse_speed``); the step at which it stops is taken too.
+    """
+    beta2, b = 1.01, float(np.cbrt(p.gamma))
+    bb = p.beta_eps * b
+
+    def f(y):
+        value = beta2 - y * (y + bb) * (y + b)
+        slope = -(y * (3.0 * y + 2.0 * (bb + b)) + bb * b)
+        return value, slope, value / slope
+
+    top = min(float(np.cbrt(beta2)), beta2 / (bb * b))
+    f_top = f(top)
+    lo, hi = (top, math.inf) if f_top[0] > 0.0 else (0.0, top)
+    y, step = _newton_root(f, lo, hi, top, f_top)
+    return (-(y - step) / b - 1.0, beta2)
 
 
 def solver_grid(e: IntervalUnion, eps: float) -> Grid:
@@ -253,6 +273,8 @@ def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile
         raise BracketError(
             f"interface offset cannot normalize: defects {d0}, {d1}"
         )
+    # not _newton_root: moving theta by 1e-14 moves the chaotic iteration
+    # counts of minimize_energy, so this waits for its Newton replacement
     theta = brentq(norm_defect, 0.0, 1.0, xtol=1e-14)
     values = profile(theta)
     return AdmissibleProfile(
@@ -499,26 +521,30 @@ def speed_eps(
 
     The minimum energy m(c) decreases strictly in the speed, and by the
     envelope identity its slope is the energy's speed derivative at the
-    minimizer, dm/dc = dE/dc(w*, c).  The bracket ends must straddle a
-    sign change.  After the minimization at c_lo, the minimizer's energy
-    at c_hi is evaluated: every admissible profile's energy bounds m(c_hi)
-    from above, so if m(c_lo) > 0 and that energy is negative the bracket
-    is proven and c_hi is not minimized (a ``certified`` step); otherwise
-    c_hi is minimized too.  Safeguarded Newton (``wave_speeds._newton_root``)
-    then starts from c_lo, where m is positive.
-    On the pulse, m is convex there, so exact Newton steps approach the
-    root from below; a step that the capped minimizations carry past it
-    only moves the bracket.  The solve stops at the first minimized speed
-    whose Newton step |m/m'| (or the bracket) is at most SPEED_BRACKET_TOL
-    relative to max(1, c), and returns that last iterate, with every
-    minimization and certified end in ``steps``.  Minimizations run to the
-    gradient-norm tolerance SPEED_GRAD_TOL or ``max_iter`` iterations and
-    warm-start from the previous minimizer.  Each speed's inhibitor matrix
-    is factored once: an uncertified c_hi is minimized with the energy
-    built for its certificate.
+    minimizer, dm/dc = dE/dc(w*, c).  The bracket ends must be finite
+    positive speeds (else invalid input, before any minimization) and
+    straddle a sign change.  After the minimization at c_lo, the minimizer's
+    energy at c_hi is evaluated: every admissible profile's energy bounds
+    m(c_hi) from above, so if m(c_lo) > 0 and that energy is negative the
+    bracket is proven and c_hi is not minimized (a ``certified`` step);
+    otherwise c_hi is minimized too.  Safeguarded Newton
+    (``wave_speeds._newton_root``) then starts from c_lo, where m is
+    positive.  On the pulse, m is convex there, so exact Newton steps
+    approach the root from below; a step that the capped minimizations carry
+    past it only moves the bracket.  The solve stops at the first minimized
+    speed whose Newton step |m/m'| (or the bracket) is at most
+    SPEED_BRACKET_TOL relative to max(1, c), and returns that last iterate,
+    with every minimization and certified end in ``steps``.  Minimizations
+    run to the gradient-norm tolerance SPEED_GRAD_TOL or ``max_iter``
+    iterations and warm-start from the previous minimizer.  Each speed's
+    inhibitor matrix is factored once: an uncertified c_hi is minimized with
+    the energy built for its certificate.
     """
-    if not 0.0 < c_lo < c_hi:
-        raise BracketError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
+    if not (0.0 < c_lo < math.inf and 0.0 < c_hi < math.inf):
+        raise InvalidParameterError(
+            f"bracket ends must be finite positive speeds: [{c_lo}, {c_hi}]")
+    if not c_lo < c_hi:
+        raise BracketError(f"need c_lo < c_hi, got [{c_lo}, {c_hi}]")
 
     warm = np.asarray(init, dtype=float)
     steps = []
@@ -594,13 +620,10 @@ def convergence_study(
     are flagged monotone when they decrease weakly down the ladder (widths
     sorted descending).
 
-    The default per-minimization iteration budget is far below the cap of
-    minimize_energy: the energy value, and with it the Newton step m/m',
-    settles far inside the speed tolerance long before the slow
-    translation mode drives the gradient norm to its tolerance.  Only the
-    value and its speed slope enter the Newton speed solve; their errors
-    are of second and first order in the profile's distance from the
-    minimizer.
+    The default budget per minimization is far below minimize_energy's cap:
+    the speed Newton needs only the value and slope, whose errors are second
+    and first order in the distance from the minimizer.  But ``err_u_l2e``
+    and ``flag`` reflect it: at the default, every pulse row reads ``maxiter``.
     """
     limit = limit_speed(p)
     c_limit = limit.to_dict()["c"]

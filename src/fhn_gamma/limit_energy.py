@@ -14,7 +14,7 @@ The geometric energy of a union of intervals has exact perimeter and area
 sums; its nonlocal term is closed form for a single interval and a
 second-order finite-difference pairing for unions of two or more, within
 1.9e-4 relative of the Green's-function value on the benchmark's unions
-(ROADMAP item 6 is the closed form for unions).
+(the pairing also has a closed form, a double sum over pairs of intervals).
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def sharp_interface_energy(
     on a grid reaching GRID_PAD past the set.  The averages keep every
     endpoint in place, so the pairing is second-order accurate: on the
     benchmark's seeded 2-4-interval unions it is within 1.9e-4 of the exact
-    Green's-function value, relative.  A closed form for unions is ROADMAP
-    item 6.
+    Green's-function value, relative.  The pairing of a union also has a
+    closed form, a double sum over pairs of intervals, not used here.
     """
     perimeter = (SQRT2 / 12.0) * total_variation_e(e)
     area = -(SQRT2 * p.alpha / 12.0) * e.l1e_norm

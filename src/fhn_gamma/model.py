@@ -138,30 +138,6 @@ def gamma_star_limit(p: Params) -> float:
     return 3.0 * SQRT2 * p.sigma / p.alpha
 
 
-def box_constants(p: Params) -> tuple[float, float]:
-    """Box bounds (m1_tilde, beta2) for the admissible profile set.
-
-    beta2 is fixed at 1.01; m1_tilde is the unique positive root of
-    f_eps(-M) = beta2 / gamma, found by bisection (the cubic grows
-    monotonically for M > 0 so the root is unique).
-    """
-    beta2 = 1.01
-    beta = p.beta_eps
-    target = beta2 / p.gamma
-    lo, hi = 0.0, 1.0
-    while f_eps(-hi, beta) < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_eps(-mid, beta) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi), beta2
-
-
 def require_regime(p: Params, tag: RegimeTag) -> Regime:
     """Assert the parameter point lies in the given regime, else raise."""
     regime = classify(p)

@@ -299,11 +299,11 @@ def test_criterion_7_desk_scale_convergence():
         front_detail = (f"front err_c={[f'{e:.4f}' for e in errs_c]}, "
                         f"final err_c/c_f={errs_c[-1] / st.c_limit:.4f}")
     except BracketError as exc:
-        # at desk-scale widths the constrained minimum at front parameters
-        # sits below zero for every speed in the bracket: lowering the
-        # plateau of the profile slightly under 1 gains energy of order
-        # alpha^2 eps / 18, which exceeds the entire range of the limit
-        # front energy until eps is far below this ladder
+        # at eps = 0.04 and 0.02 the constrained minimum at front
+        # parameters is negative at every positive speed: at zero speed it
+        # reads m_0(0+) - 1.556 eps, with m_0(0+) = 0.02860 the limit value,
+        # and it decreases in the speed, so a front of positive speed needs
+        # eps below about 0.0184
         front_detail = f"front study failed: {exc}"
 
     runtime = time.time() - t0

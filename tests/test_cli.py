@@ -415,13 +415,20 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
     # 2.46e9 nodes: a finite count, refused before any array is built
     ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
      "--epsilon", "1e-7"],
+    # bracket ends that are not speeds, refused before any minimization
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-lo", "nan"],
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-lo", "-1"],
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-lo", "inf"],
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-hi", "inf"],
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-hi", "nan"],
 ], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
         "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
         "minimize_no_iterations", "negative_tol", "nan_tol",
         "speed_eps_no_iterations", "range_step_overflow",
         "range_count_overflow", "integer_endpoint_overflow",
         "recovery_tiny_eps", "study_tiny_eps", "recovery_eps_1e-20",
-        "recovery_eps_1e-300", "recovery_eps_1e-7"])
+        "recovery_eps_1e-300", "recovery_eps_1e-7", "c_lo_nan",
+        "c_lo_negative", "c_lo_inf", "c_hi_inf", "c_hi_nan"])
 def test_out_of_range_input_is_invalid_input(argv, capsys):
     # not a traceback, an I/O failure, a non-JSON summary or a run to the cap
     assert run(argv) == 2

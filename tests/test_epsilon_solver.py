@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fhn_gamma.epsilon_solver import (
     MinimizeResult,
     build_recovery,
     minimize_energy,
+    profile_box,
     recovery_profile,
     solver_grid,
     speed_eps,
@@ -135,6 +138,43 @@ def test_build_recovery_grid_too_short():
     grid = Grid.for_interval(0.0, 0.005, x_lo=-12.0)
     with pytest.raises(InvalidParameterError, match="grid ends"):
         build_recovery(HALF_LINE, FRONT, grid)
+
+
+def test_profile_box_solves_the_cubic_level(monkeypatch):
+    # the top face is beta2 = 1.01, and m1 = -lo - 1 solves
+    # gamma M (M + beta) (M + 1) = beta2: in exact rational arithmetic the
+    # left side minus beta2 changes sign within 4 ulps of the face, also
+    # where beta2 / gamma overflows (gamma below about 5.6e-309), and the
+    # Newton solve stops within a few steps (at most 6 seen on a dense grid)
+    steps = []
+    newton = epsilon_solver._newton_root
+
+    def counted(f, *args, **kwargs):
+        def counted_f(y):
+            steps.append(y)
+            return f(y)
+        return newton(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(epsilon_solver, "_newton_root", counted)
+    gammas = (5e-324, 1e-320, 1e-300, 1e-6, 1.0, 1e6, 1e300)
+    for gamma, alpha in itertools.product(gammas, (1.1, 2.0, 5.0, 20.0)):
+        for eps in (1e-4, 0.999 * Params(alpha, gamma, 1.0).epsilon_cap):
+            p = Params(alpha, gamma, 1.0, eps)
+            steps.clear()
+            lo, hi = profile_box(p)
+            assert hi == 1.01
+            assert len(steps) <= 10
+
+            def level(m):
+                return (Fraction(gamma) * m * (m + Fraction(p.beta_eps))
+                        * (m + 1) - Fraction(1.01))
+
+            m1, d = -Fraction(lo) - 1, 4 * Fraction(math.ulp(lo))
+            assert level(max(m1 - d, Fraction(0))) <= 0 <= level(m1 + d)
+    # beta2 / gamma is inf here; M is 4.657e106, not the 5.64e102 at which
+    # the cubic itself overflows
+    assert profile_box(Params(2.0, 1e-320, 1.0, 0.04))[0] == pytest.approx(
+        -(1.0 + 4.6570267898108e106), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.1])
@@ -272,6 +312,22 @@ def test_speed_eps_degenerate_bracket():
     grid = small_grid(0.04)
     with pytest.raises(BracketError):
         speed_eps(FRONT, 1.0, 1.0, grid, np.zeros(grid.n))
+
+
+@pytest.mark.parametrize("c_lo, c_hi", [
+    (math.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0),
+    (0.5, math.inf), (0.5, math.nan),
+])
+def test_speed_eps_rejects_ends_that_are_not_speeds(c_lo, c_hi, monkeypatch):
+    # checked before any minimization, and invalid input, not a bracket
+    # failure
+    def no_minimization(*args, **kwargs):
+        raise AssertionError("minimized before checking the bracket ends")
+
+    monkeypatch.setattr(epsilon_solver, "minimize_energy", no_minimization)
+    grid = small_grid(0.04)
+    with pytest.raises(InvalidParameterError, match="speed"):
+        speed_eps(FRONT, c_lo, c_hi, grid, np.zeros(grid.n))
 
 
 def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):

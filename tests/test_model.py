@@ -16,7 +16,6 @@ from fhn_gamma.model import (
     G,
     Params,
     RegimeTag,
-    box_constants,
     classify,
     f_eps,
     gamma_star,
@@ -144,13 +143,3 @@ def test_gamma_star_approaches_limit():
         p = Params(2.0, 1.0, 1.0, eps)
         errs.append(abs(gamma_star(p) / gamma_star_limit(p) - 1.0))
     assert errs[0] > errs[1] > errs[2]
-
-
-def test_box_constants_solve_the_cubic_level():
-    p = Params(2.0, 1.0, 1.0, 0.01)
-    m1, beta2 = box_constants(p)
-    assert beta2 == 1.01
-    beta = p.beta_eps
-    assert m1 * (m1 + beta) * (m1 + 1.0) == pytest.approx(
-        beta2 / p.gamma, rel=1e-12)
-    assert m1 > 0.0
