@@ -286,8 +286,9 @@ def _cmd_minimize(opts):
     e = (IntervalUnion.from_json(opts["set"]) if opts["set"]
          else limit_speed(p).limit_set)
     grid = solver_grid(e, p.epsilon)
-    init = build_recovery(e, p, grid)
+    # first: it refuses a grid too long to solve on before a recovery is built
     engine = DiscreteEnergy(grid, opts["c"], p)
+    init = build_recovery(e, p, grid)
     result = minimize_energy(engine, init.w.values,
                              tol=opts["tol"], max_iter=opts["max_iter"])
     summary = {

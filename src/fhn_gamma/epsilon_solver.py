@@ -21,14 +21,11 @@ import numpy as np
 
 from .errors import BracketError, GridError, InvalidParameterError
 from .model import F0, G, Params, f_eps
-from .nonlocal_operator import (
-    MAX_LOG_SCALE,
-    InhibitorOperator,
-    scale_log_growth,
-)
+from .nonlocal_operator import InhibitorOperator
 from .wave_speeds import _newton_root, limit_speed
 from .weighted_space import (
     GRID_PAD,
+    MAX_GRID_NODES,
     Grid,
     IntervalUnion,
     SampledFunction,
@@ -43,10 +40,6 @@ SPEED_BRACKET_TOL = 1e-3
 SPEED_GRAD_TOL = 1e-6
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
-#: solver grids hold at most this many nodes: 80 MB per float64 array, of
-#: which the recovery and the minimizer each build several (the front's
-#: half-line needs 245,788 nodes at eps = 1e-3 and 2.46e9 at eps = 1e-7)
-MAX_GRID_NODES = 10_000_000
 #: recovery profiles are sampled at this many points, from an inverse taken
 #: on this many quadrature points in u
 RECOVERY_NODES = 20001
@@ -188,27 +181,25 @@ def solver_grid(e: IntervalUnion, eps: float) -> Grid:
     starts at the last node at or left of min(ln GRID_WEIGHT_TOL,
     e.leftmost - GRID_PAD).  Kept nodes are not moved, because the energy of
     the recovery profile is first order in node placement.  Raises
-    ``GridError``, before any node exists, for a grid too long for the
-    inhibitor solve (``scale_log_growth`` above MAX_LOG_SCALE, about 2,600
-    units) or with more than MAX_GRID_NODES nodes.
+    ``GridError``, before any node exists, for more than MAX_GRID_NODES
+    nodes.  Length is left to the inhibitor solve: ``InhibitorOperator``
+    refuses grids longer than about 2,600 units, so ``DiscreteEnergy``
+    does, but a recovery profile on such a grid is built.
     """
     x_hi = e.rightmost + GRID_PAD
     h = Grid.for_interval(x_hi, eps / 8.0).h
     start = math.log(GRID_WEIGHT_TOL)
     if math.isfinite(e.leftmost):
         start = min(start, e.leftmost - GRID_PAD)
-    if scale_log_growth(h, (x_hi - start) / h + 1.0) > MAX_LOG_SCALE:
+    cells = (x_hi - start) / h
+    if cells < MAX_GRID_NODES:  # math.ceil raises OverflowError on inf
+        cells = math.ceil(cells)
+        if x_hi - cells * h > start:
+            cells += 1
+    if not cells + 1 <= MAX_GRID_NODES:
         raise GridError(
-            f"solver grid on [{start:.6g}, {x_hi:.6g}] too long for the "
-            f"inhibitor solve"
-        )
-    cells = math.ceil((x_hi - start) / h)
-    if x_hi - cells * h > start:
-        cells += 1
-    if cells + 1 > MAX_GRID_NODES:
-        raise GridError(
-            f"solver grid at eps={eps:g} needs {cells + 1} nodes, more than "
-            f"MAX_GRID_NODES = {MAX_GRID_NODES:,}"
+            f"solver grid at eps={eps:g} needs {cells + 1:.6g} nodes, more "
+            f"than MAX_GRID_NODES = {MAX_GRID_NODES:,}"
         )
     return Grid(x_hi - cells * h, x_hi, cells + 1)
 

@@ -18,4 +18,5 @@ class BracketError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap without meeting tolerance."""
+    """``InhibitorOperator`` met a non-positive pivot in its factorization.
+    A minimization at its iteration cap returns ``converged=False``."""

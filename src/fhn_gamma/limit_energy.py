@@ -23,12 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError
+from .errors import GridError, InvalidParameterError
 from .model import SQRT2, Params
 from .nonlocal_operator import CharRoots, InhibitorOperator, char_roots
 from .weighted_space import (
     DEFAULT_X_LO,
     GRID_PAD,
+    MAX_GRID_NODES,
     Grid,
     IntervalUnion,
     total_variation_e,
@@ -181,7 +182,9 @@ def sharp_interface_energy(
     endpoint in place, so the pairing is second-order accurate: on the
     benchmark's seeded 2-4-interval unions it is within 1.9e-4 of the exact
     Green's-function value, relative.  The pairing of a union also has a
-    closed form, a double sum over pairs of intervals, not used here.
+    closed form, a double sum over pairs of intervals, not used here.  Its
+    grid meets MAX_GRID_NODES before any array exists (``GridError``), and
+    then the inhibitor solve's length guard.
     """
     perimeter = (SQRT2 / 12.0) * total_variation_e(e)
     area = -(SQRT2 * p.alpha / 12.0) * e.l1e_norm
@@ -209,6 +212,9 @@ def _nonlocal_pairing_fd(e: IntervalUnion, c: float, p: Params) -> float:
     a, b = e.intervals[-1]
     x_lo = min(DEFAULT_X_LO, b + DEFAULT_X_LO) if math.isinf(a) else a - GRID_PAD
     grid = Grid.for_interval(e.rightmost + GRID_PAD, h, x_lo=x_lo)
+    if grid.n > MAX_GRID_NODES:
+        raise GridError(f"union pairing grid at c={c:g} needs {grid.n} nodes, "
+                        f"more than MAX_GRID_NODES = {MAX_GRID_NODES:,}")
     chi = e.indicator(grid).values
     v = InhibitorOperator(grid, c, p.gamma).solve(chi)
     return weighted_dot(grid, chi, v)

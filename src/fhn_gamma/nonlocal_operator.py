@@ -72,16 +72,6 @@ def char_roots(c: float, gamma: float) -> CharRoots:
 MAX_LOG_SCALE = 650.0
 
 
-def scale_log_growth(h: float, n: float) -> float:
-    """Log of D_{n-1} / D_mid, the growth of the symmetrizing scale from the
-    middle to the right end of a grid of n nodes at spacing h: atanh(h/2)
-    (n - 1)/2, about a quarter of the grid's length.  ``InhibitorOperator``
-    refuses a grid where this plus the log of a right-end coefficient (at
-    least 0) exceeds MAX_LOG_SCALE, so no grid where it alone does can be
-    solved on."""
-    return math.atanh(0.5 * h) * (0.5 * (n - 1))
-
-
 @dataclass(frozen=True)
 class PiecewiseExpSolution:
     """Closed-form inhibitor response to the indicator of [-ell, 0].
@@ -174,8 +164,11 @@ class InhibitorOperator:
     The right-hand sides of those solves hold D_{n-1} ~ e^{length/4} times
     the right-end Robin coefficient (about 2 c^2/(h gamma)); grids on which
     that product would pass e^MAX_LOG_SCALE raise GridError, which happens
-    beyond about 2,500 units.  Immutable after construction; safe to share
-    across threads.
+    beyond about 2,500 units.  This is the package's only length guard:
+    the grid builders bound only the node count (MAX_GRID_NODES), so the
+    finite-width energy, the union pairing and ``lc-apply`` meet it here,
+    and a recovery profile, which takes no solve, does not.  Immutable
+    after construction; safe to share across threads.
     """
 
     def __init__(self, grid: Grid, c: float, gamma: float):
@@ -213,11 +206,12 @@ class InhibitorOperator:
             + 2.0 * h * sup * (2.0 * roots.r1 / c - dr2) / gamma,
         )
 
-        # D grows to the right, so the largest entries formed are D_{n-1}
-        # times a right-end coefficient (D_0 times a left-end one is tiny)
+        # D grows to the right, so the largest entries formed are D_{n-1},
+        # with log D_{n-1}/D_mid = atanh(h/2) (n - 1)/2, times a right-end
+        # coefficient (D_0 times a left-end one is tiny)
         log_ratio = math.atanh(0.5 * h)
         half = 0.5 * (n - 1)
-        log_scale = scale_log_growth(h, n) + math.log(
+        log_scale = log_ratio * half + math.log(
             max(1.0, abs(self._b_hi), *map(abs, self._speed_hi)))
         if log_scale > MAX_LOG_SCALE:
             raise GridError(

@@ -26,8 +26,14 @@ from .errors import GridError, InvalidParameterError
 DEFAULT_X_LO = -34.0
 #: grids around a set reach this far past both of its ends
 GRID_PAD = 10.0
+#: the grids sized from a set hold at most this many nodes, 80 MB per float64
+#: array: ``solver_grid`` (the front's half-line needs 245,788 nodes at
+#: eps = 1e-3 and 2.46e9 at eps = 1e-7) and the union pairing of
+#: ``sharp_interface_energy`` refuse more before any array exists; ``Grid``
+#: does not, since ``solver_grid`` reads its spacing off one it never fills
+MAX_GRID_NODES = 10_000_000
 
-#: cap on the number of intervals in a union; minimizers are single intervals
+#: cap on the number of intervals in a union, and so on its per-interval loops
 MAX_INTERVALS = 16
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fhn_gamma import wave_speeds
+from fhn_gamma import cli, wave_speeds
 from fhn_gamma.cli import _csv_text, _emit_profile, run
 from fhn_gamma.epsilon_solver import (
     DiscreteEnergy,
@@ -17,7 +17,7 @@ from fhn_gamma.epsilon_solver import (
 )
 from fhn_gamma.model import Params
 from fhn_gamma.wave_speeds import front_speed, pulse_speed
-from fhn_gamma.weighted_space import Grid, SampledFunction
+from fhn_gamma.weighted_space import Grid, SampledFunction, l2e_norm
 
 
 def test_classify_outputs_json(capsys):
@@ -179,6 +179,30 @@ def test_recovery_csv_and_svg(tmp_path):
     prof = SampledFunction.from_csv(out)
     assert prof.values.min() >= 0.0 and prof.values.max() <= 1.0
     assert fig.read_text().startswith("<svg")
+
+
+def test_recovery_builds_a_set_too_long_for_the_inhibitor_solve(tmp_path):
+    # recovery takes no inhibitor solve, so only the node bound applies
+    out = tmp_path / "long.csv"
+    code = run(["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+                "--epsilon", "0.04", "--set", "[[-3000, 0]]",
+                "--output", str(out)])
+    assert code == 0
+    prof = SampledFunction.from_csv(out)
+    assert prof.grid.n == 604001
+    assert l2e_norm(prof.grid, prof.values) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_minimize_refuses_a_long_set_before_its_recovery(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("build_recovery called")
+
+    monkeypatch.setattr(cli, "build_recovery", fail)
+    code = run(["minimize", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+                "--epsilon", "0.04", "--c", "0.11456943748336548",
+                "--set", "[[-3000, 0]]"])
+    assert code == 2
+    assert "too long" in capsys.readouterr().err
 
 
 def test_sweep_sorted_and_deterministic(tmp_path):
@@ -390,6 +414,11 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
      "--set", "[[-1e300, 0]]"],
     ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
      "--set", "[[-1e300, 0]]"],
+    # (x_hi - start) / h is inf: the node bound, not an OverflowError
+    ["recovery", *_PULSE_ARGS, "--epsilon", "0.04",
+     "--set", "[[-1.7e308, 0]]"],
+    ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
+     "--set", "[[-1.7e308, 0]]"],
     ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
      "--max-iter", "0"],
     ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
@@ -423,6 +452,7 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
     ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-hi", "nan"],
 ], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
         "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
+        "set_inf_cells_recovery", "set_inf_cells_minimize",
         "minimize_no_iterations", "negative_tol", "nan_tol",
         "speed_eps_no_iterations", "range_step_overflow",
         "range_count_overflow", "integer_endpoint_overflow",

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fhn_gamma.errors import InvalidParameterError
+from fhn_gamma.errors import GridError, InvalidParameterError
 from fhn_gamma.limit_energy import (
     interval_energy,
     sharp_interface_energy,
@@ -331,3 +332,21 @@ def test_union_with_a_half_line_far_left_is_translation_covariant(c):
     for name in ("perimeter_term", "area_term", "nonlocal_term"):
         assert getattr(got, name) == pytest.approx(
             math.exp(-60.0) * getattr(want, name), rel=1e-12), name
+
+
+@pytest.mark.parametrize("intervals, c", [
+    # h = 0.4 / r2 at c = 1e-6: 60,000,032 nodes on a 16-unit union
+    (((0.0, 1.0), (-3.0, -2.0)), 1e-6),
+    # h = 0.005 on a union reaching -1e6: 200,004,201 nodes
+    (((0.0, 1.0), (-1e6, -1.0)), 1.0),
+])
+def test_union_pairing_past_the_node_bound_raises_before_any_array(intervals, c):
+    e = IntervalUnion(intervals)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="MAX_GRID_NODES"):
+            sharp_interface_energy(e, c, PULSE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

@@ -288,10 +288,14 @@ def test_grid_too_long_for_symmetrization_raises():
 
 
 def test_solver_grid_too_long_raises_before_building_nodes():
-    # a set reaching 1e300 units left would need about 1e302 nodes; the
-    # length alone passes the inhibitor solve's cap, so no node is built
-    with pytest.raises(GridError, match="too long"):
+    # a set reaching 1e300 units left would need about 1e302 nodes: the
+    # node bound refuses it, so no node is built
+    with pytest.raises(GridError, match="MAX_GRID_NODES"):
         solver_grid(IntervalUnion.single(-1e300, 0.0), 0.04)
+    # at 1.7e308 the cell count is inf, on which math.ceil would raise
+    # OverflowError
+    with pytest.raises(GridError, match="MAX_GRID_NODES"):
+        solver_grid(IntervalUnion.single(-1.7e308, 0.0), 0.04)
 
 
 def test_solver_grid_past_the_node_bound_raises_before_building_nodes():
