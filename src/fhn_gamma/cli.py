@@ -7,14 +7,18 @@ come from flags or a config file (key=value lines or a JSON object); flags
 win.  Unknown config keys are rejected.
 
 Exit codes: 0 success, 2 invalid parameters or wrong regime, 3 solver
-non-convergence, 4 I/O failure.
+non-convergence, 4 I/O failure.  Tables are written row by row, in memory
+that does not grow with their length: a failure at the first row writes
+nothing, a later one leaves the rows before it and sets the exit code, and
+a closed stdout exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import sys
@@ -72,11 +76,9 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _range_values(text: str) -> list[float]:
-    lo, hi, n = _parse_range(text)
-    if n == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _range_values(lo: float, hi: float, n: int):
+    """The points of a parsed range, one at a time; one point is lo."""
+    return (lo + (hi - lo) * i / (n - 1) if n > 1 else lo for i in range(n))
 
 
 def _parse_eps_list(text: str) -> list[float]:
@@ -195,27 +197,27 @@ def _params(opts: dict) -> Params:
                   opts.get("epsilon", 0.0))
 
 
+def _open_output(path):
+    """stdout, left open on exit, or the file at ``path``."""
+    return (contextlib.nullcontext(sys.stdout) if path is None
+            else open(path, "w", encoding="utf-8", newline=""))
+
+
 def _emit_text(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _open_output(path) as fh:
+        fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                         for v in row])
-    return buf.getvalue()
-
-
-def _emit_profile(x, values, path) -> None:
-    """Write a profile as the CSV x,value that every command uses."""
-    _emit_text(_csv_text(("x", "value"), zip(x, values)), path)
+def _emit_csv(header, rows, path) -> None:
+    """Write a CSV table with ``repr`` floats, each row as ``rows`` yields
+    it.  The destination is opened once the first row exists, so an input
+    that the first row refuses leaves an existing file as it was."""
+    rows = iter(rows)
+    first = list(itertools.islice(rows, 1))
+    with _open_output(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row]
+            for row in itertools.chain([header], first, rows))
 
 
 def _cmd_classify(opts):
@@ -233,14 +235,12 @@ def _cmd_speed(solver, opts):
 def _cmd_limit_energy(opts):
     p = _params(opts)
     c = opts["c"]
-    ells = _range_values(opts["ell_grid"])
+    ells = _range_values(*_parse_range(opts["ell_grid"]))
     roots = char_roots(c, p.gamma)
-    rows = []
-    for ell in ells:
-        je = interval_energy(ell, roots, p)
-        rows.append((ell, je.value, je.d_width, je.d_width2, je.d_speed))
-    text = _csv_text(("ell", "J", "dJ_dl", "dJ_dl2", "dJ_dc"), rows)
-    _emit_text(text, opts["output"])
+    rows = ((ell, *interval_energy(ell, roots, p)) for ell in ells)
+    if opts["svg"]:
+        rows = list(rows)  # the plot needs the points
+    _emit_csv(("ell", "J", "dJ_dl", "dJ_dl2", "dJ_dc"), rows, opts["output"])
     if opts["svg"]:
         svg.line_plot(
             opts["svg"],
@@ -255,7 +255,7 @@ def _cmd_lc_apply(opts):
     p = _params(opts)
     f = SampledFunction.from_csv(opts["input"])
     v = InhibitorOperator(f.grid, opts["c"], p.gamma).solve(f.values)
-    _emit_profile(f.grid.x, v, opts["output"])
+    _emit_csv(("x", "value"), zip(f.grid.x, v), opts["output"])
     if opts["svg"]:
         svg.line_plot(
             opts["svg"],
@@ -271,7 +271,7 @@ def _cmd_recovery(opts):
     e = IntervalUnion.from_json(opts["set"])
     grid = solver_grid(e, p.epsilon)
     profile = build_recovery(e, p, grid)
-    _emit_profile(grid.x, profile.w.values, opts["output"])
+    _emit_csv(("x", "value"), zip(grid.x, profile.w.values), opts["output"])
     if opts["svg"]:
         svg.line_plot(
             opts["svg"], [("profile", grid.x, profile.w.values)],
@@ -305,7 +305,7 @@ def _cmd_minimize(opts):
     }
     print(json.dumps(summary, indent=2))
     if opts["output"]:
-        _emit_profile(grid.x, result.profile.values, opts["output"])
+        _emit_csv(("x", "value"), zip(grid.x, result.profile.values), opts["output"])
     if opts["svg"]:
         svg.line_plot(
             opts["svg"], [("minimizer", grid.x, result.profile.values)],
@@ -337,7 +337,8 @@ def _cmd_speed_eps(opts):
     }
     _emit_text(json.dumps(summary, indent=2) + "\n", opts["output"])
     if opts["profile_output"]:
-        _emit_profile(grid.x, result.profile.values, opts["profile_output"])
+        _emit_csv(("x", "value"), zip(grid.x, result.profile.values),
+                  opts["profile_output"])
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
@@ -345,9 +346,8 @@ def _cmd_study(opts):
     p = _params(opts)
     result = convergence_study(_parse_eps_list(opts["eps_list"]), p,
                                max_iter=opts["max_iter"])
-    rows = [tuple(row[k] for k in STUDY_COLUMNS) for row in result.rows]
-    text = _csv_text(STUDY_COLUMNS, rows)
-    _emit_text(text, opts["output"])
+    rows = ([row[k] for k in STUDY_COLUMNS] for row in result.rows)
+    _emit_csv(STUDY_COLUMNS, rows, opts["output"])
     if opts["svg"]:
         eps = [row["eps"] for row in result.rows]
         svg.line_plot(
@@ -377,15 +377,13 @@ def _sweep_point(task):
 
 
 def _cmd_sweep(opts):
-    tasks = [
-        (alpha, gamma, sigma)
-        for alpha in _range_values(opts["alpha_range"])
-        for gamma in _range_values(opts["gamma_range"])
-        for sigma in _range_values(opts["sigma_range"])
-    ]
-    rows = map(_sweep_point, tasks)
-    text = _csv_text(("alpha", "gamma", "sigma", "regime", "c", "ell"), rows)
-    _emit_text(text, opts["output"])
+    alphas, gammas, sigmas = (_parse_range(opts[f"{axis}_range"])
+                              for axis in ("alpha", "gamma", "sigma"))
+    rows = (_sweep_point((alpha, gamma, sigma))
+            for alpha in _range_values(*alphas)
+            for gamma in _range_values(*gammas)
+            for sigma in _range_values(*sigmas))
+    _emit_csv(("alpha", "gamma", "sigma", "regime", "c", "ell"), rows, opts["output"])
     return EXIT_OK
 
 

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fhn_gamma import cli, wave_speeds
-from fhn_gamma.cli import _csv_text, _emit_profile, run
+from fhn_gamma.cli import _emit_csv, run
 from fhn_gamma.epsilon_solver import (
     DiscreteEnergy,
     build_recovery,
@@ -15,6 +17,7 @@ from fhn_gamma.epsilon_solver import (
     solver_grid,
     speed_eps,
 )
+from fhn_gamma.errors import BracketError
 from fhn_gamma.model import Params
 from fhn_gamma.wave_speeds import front_speed, pulse_speed
 from fhn_gamma.weighted_space import Grid, SampledFunction, l2e_norm
@@ -118,7 +121,7 @@ def test_lc_apply_round_trip(tmp_path):
     grid = Grid(-12.0, 4.0, 1601)
     chi = np.where((grid.x > -1.0) & (grid.x < 0.0), 1.0, 0.0)
     src = tmp_path / "chi.csv"
-    _emit_profile(grid.x, chi, src)
+    _emit_csv(("x", "value"), zip(grid.x, chi), src)
     dst = tmp_path / "resp.csv"
     code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
                 "--c", "1.0", "--input", str(src), "--output", str(dst)])
@@ -138,7 +141,7 @@ def test_lc_apply_grid_too_long_is_invalid_input(tmp_path, capsys):
     # 3,000 units: past the length the symmetrized inhibitor solve accepts
     grid = Grid(-2990.0, 10.0, 12001)
     src = tmp_path / "long.csv"
-    _emit_profile(grid.x, np.where(grid.x < 0.0, 1.0, 0.0), src)
+    _emit_csv(("x", "value"), zip(grid.x, np.where(grid.x < 0.0, 1.0, 0.0)), src)
     code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
                 "--c", "1.0", "--input", str(src)])
     assert code == 2
@@ -232,7 +235,9 @@ def _assert_profile_csv(path, grid, values):
     # the x,value CSV of repr floats that every command writes, read back
     # bit for bit; the first differing line, not a diff of 6,000 lines
     lines = path.read_text().splitlines(keepends=True)
-    expected = _csv_text(("x", "value"), zip(grid.x, values))
+    expected = "x,value\n" + "".join(
+        ",".join(repr(float(v)) for v in pair) + "\n"
+        for pair in zip(grid.x, values))
     same = "".join(lines) == expected
     assert same, next(pair for pair in zip(lines, expected.splitlines(True))
                       if pair[0] != pair[1])
@@ -483,3 +488,93 @@ def test_malformed_content_is_invalid_input(name, content, command, tmp_path,
         argv = ["classify", "--config", str(path)]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _traced_peak_mb(func):
+    """func()'s result and the tracemalloc peak of the call, in MB."""
+    tracemalloc.start()
+    try:
+        result = func()
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _counting_sweep_point(monkeypatch, fail_at=None):
+    """Count calls of cli._sweep_point; raise BracketError at call fail_at."""
+    calls = []
+    sweep_point = cli._sweep_point
+
+    def counting(task):
+        calls.append(task)
+        if len(calls) == fail_at:
+            raise BracketError("injected failure")
+        return sweep_point(task)
+
+    monkeypatch.setattr(cli, "_sweep_point", counting)
+    return calls
+
+
+def test_limit_energy_table_is_written_in_constant_memory(tmp_path):
+    # 50,000 rows: the table held whole would take about 24 MB
+    out = tmp_path / "energy.csv"
+    code, peak = _traced_peak_mb(lambda: run(
+        ["limit-energy", *_PULSE_ARGS, "--c", "1.0",
+         "--ell-grid", "0.1:10:50000", "--output", str(out)]))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 50001
+    assert peak < 1.0, peak
+
+
+def test_sweep_streams_its_rows_until_a_failure(monkeypatch, capsys):
+    # 10^9 points: only the rows before the failing point are computed
+    calls = _counting_sweep_point(monkeypatch, fail_at=6)
+    code, peak = _traced_peak_mb(
+        lambda: run(["sweep", "--alpha-range", "1:2:1000000000"]))
+    assert code == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "alpha,gamma,sigma,regime,c,ell"
+    assert len(lines) == 6 and len(calls) == 6
+    assert peak < 1.0, peak
+
+
+def test_first_row_failure_leaves_the_output_file(tmp_path, capsys):
+    # interval_energy refuses the first width, -1, before the file is opened
+    out = tmp_path / "energy.csv"
+    out.write_text("keep\n")
+    assert run(["limit-energy", *_PULSE_ARGS, "--c", "1.0",
+                "--ell-grid=-1:10:5", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_text() == "keep\n"
+
+
+def test_sweep_to_a_missing_directory_stops_at_the_first_row(
+        tmp_path, monkeypatch, capsys):
+    calls = _counting_sweep_point(monkeypatch)
+    assert run(["sweep", "--alpha-range", "1.5:2.5:50",
+                "--output", str(tmp_path / "missing" / "x.csv")]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+    assert len(calls) <= 1
+
+
+class _ClosedPipe:
+    """A stdout whose reader leaves after the first write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        if self.writes:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes.append(text)
+        return len(text)
+
+
+def test_sweep_to_a_closed_stdout_stops_at_once(monkeypatch, capsys):
+    calls = _counting_sweep_point(monkeypatch)
+    pipe = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert run(["sweep", "--alpha-range", "1.5:2.5:50"]) == 4
+    assert "Broken pipe" in capsys.readouterr().err
+    assert pipe.writes == ["alpha,gamma,sigma,regime,c,ell\n"]
+    assert len(calls) <= 2

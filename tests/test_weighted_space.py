@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from fhn_gamma.cli import _emit_profile
+from fhn_gamma.cli import _emit_csv
 from fhn_gamma.errors import GridError, InvalidParameterError
 from fhn_gamma.weighted_space import (
     MAX_INTERVALS,
@@ -59,7 +59,7 @@ def test_csv_round_trip(tmp_path):
     g = Grid(-1.0, 1.0, 201)
     f = SampledFunction.from_callable(g, np.sin)
     path = tmp_path / "profile.csv"
-    _emit_profile(g.x, f.values, path)
+    _emit_csv(("x", "value"), zip(g.x, f.values), path)
     back = SampledFunction.from_csv(path)
     assert back.grid.n == g.n
     assert np.allclose(back.values, f.values, atol=1e-12)
