@@ -211,7 +211,9 @@ def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile
     width rho_eps positioned by a single global offset theta in [0, 1];
     theta = 0 puts every window on the inside of its interval (norm <= 1),
     theta = 1 on the outside (norm >= 1), and a scalar root-find picks the
-    offset with unit norm.
+    offset with unit norm.  Interfaces lie more than 2 sqrt(eps) apart and
+    rho_eps < sqrt(eps), so no node is in two windows: only window nodes are
+    interpolated, and the others read 1 inside the set and 0 outside it.
     """
     # imported here, its only use, so that importing the package does not
     # load scipy.optimize
@@ -245,15 +247,21 @@ def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile
             f"window reaching {e.leftmost - rp.rho_eps}"
         )
 
-    x = grid.x
+    x, rho = grid.x, rp.rho_eps
 
     def profile(theta: float) -> np.ndarray:
+        # [m, i) and [j, k) end at the floats the windows' arguments are
+        # compared with, so no other node reads 0 < u < 1; [m, i) takes a node
+        # more for its argument's two roundings (at a = -inf, node 0, read as 1)
+        shift = theta * rho
         values = np.zeros_like(x)
         for a, b in e.intervals:
-            piece = rp.rising(b + theta * rp.rho_eps - x)
-            if math.isfinite(a):
-                piece = np.minimum(piece, rp.rising(x - a + theta * rp.rho_eps))
-            values = np.maximum(values, piece)
+            lo, end = a - shift, b + shift
+            m, i, j, k = np.searchsorted(x, (lo, lo + rho, end - rho, end))
+            i = min(i + 1, k)
+            values[m:i] = rp.rising(x[m:i] - a + shift)
+            values[i:j] = 1.0
+            values[j:k] = rp.rising(end - x[j:k])
         return values
 
     def norm_defect(theta: float) -> float:
@@ -293,8 +301,9 @@ class DiscreteEnergy:
     """The discrete energy on a fixed grid at fixed speed and parameters.
 
     Quadrature is ``Grid.quadrature``, trapezoid against e^x dx; the
-    nonlocal part pairs the profile with its finite-difference inhibitor
-    response.  Instances are immutable and safe to share across threads.
+    gradient term takes the weight at the midpoints (``weight_mid``, read
+    nowhere else); the nonlocal part pairs the profile with its
+    finite-difference inhibitor response.  Immutable and thread-safe.
     """
 
     def __init__(self, grid: Grid, c: float, p: Params):
@@ -303,6 +312,7 @@ class DiscreteEnergy:
         self.c = c
         self.p = p
         self.op = InhibitorOperator(grid, c, p.gamma)
+        self.weight_mid = np.exp(0.5 * (grid.x[1:] + grid.x[:-1]))
         self.box = profile_box(p)
 
     def _terms(self, values: np.ndarray):
@@ -311,7 +321,7 @@ class DiscreteEnergy:
         eps, p = self.p.epsilon, self.p
         grid = self.grid
         dw = np.diff(values) / grid.h
-        flux = grid.weight_mid * dw
+        flux = self.weight_mid * dw
         v = self.op.solve(values)
         report = EnergyReport(
             # midpoint rule for e^x w'^2; einsum for the reason in weighted_dot

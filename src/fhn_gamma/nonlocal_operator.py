@@ -180,7 +180,6 @@ class InhibitorOperator:
                 f"r1={roots.r1:.3g}, r2={roots.r2:.3g}"
             )
         n = grid.n
-        self.grid = grid
         self.c = c
         self.gamma = gamma
         self.roots = roots

@@ -3,10 +3,11 @@ norms / total variation.
 
 All integrals carry the weight e^x.  Quadrature is composite trapezoid with
 the weight evaluated at the nodes (``Grid.quadrature``, ``weighted_dot``),
-which keeps every energy exactly quadratic in the nodal values.  Grids are
-uniform truncations of the real line.  With the default left cutoff
-DEFAULT_X_LO the discarded weight mass is below 1e-14; other cutoffs discard
-e^{x_lo} (the finite-width solver grids cut at weight 1e-9).
+which keeps every energy exactly quadratic in the nodal values; only
+``DiscreteEnergy`` reads it elsewhere, at the midpoints, so a grid caches
+its nodes and quadrature alone.  Grids are uniform truncations of the line.
+With the default left cutoff DEFAULT_X_LO the discarded weight mass is below
+1e-14; other cutoffs discard e^{x_lo} (the solver grids cut at weight 1e-9).
 """
 
 from __future__ import annotations
@@ -60,24 +61,14 @@ class Grid:
         return np.linspace(self.x_lo, self.x_hi, self.n)
 
     @cached_property
-    def weight(self) -> np.ndarray:
-        """Node values of the weight e^x."""
-        return np.exp(self.x)
-
-    @cached_property
     def quadrature(self) -> np.ndarray:
         """Trapezoid weights against e^x dx: h e^x at the nodes, halved at
         both ends.  Read-only, because every user of the grid shares it."""
-        q = self.weight * self.h
+        q = np.exp(self.x) * self.h
         q[0] *= 0.5
         q[-1] *= 0.5
         q.flags.writeable = False
         return q
-
-    @cached_property
-    def weight_mid(self) -> np.ndarray:
-        """Midpoint values of the weight, used by the energy's gradient term."""
-        return np.exp(0.5 * (self.x[1:] + self.x[:-1]))
 
     @classmethod
     def for_interval(cls, x_hi: float, h: float, x_lo: float = DEFAULT_X_LO) -> "Grid":

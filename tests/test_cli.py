@@ -185,12 +185,22 @@ def test_recovery_csv_and_svg(tmp_path):
 
 
 def test_recovery_builds_a_set_too_long_for_the_inhibitor_solve(tmp_path):
-    # recovery takes no inhibitor solve, so only the node bound applies
+    # recovery takes no inhibitor solve, so only the node bound applies; the
+    # 604,001 nodes, their quadrature, one profile and one product with it
+    # make four arrays of 4.8 MB, since only the window nodes are interpolated
+    import scipy.optimize  # noqa: F401  (build_recovery loads it on first use)
+
     out = tmp_path / "long.csv"
-    code = run(["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
-                "--epsilon", "0.04", "--set", "[[-3000, 0]]",
-                "--output", str(out)])
+    tracemalloc.start()
+    try:
+        code = run(["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+                    "--epsilon", "0.04", "--set", "[[-3000, 0]]",
+                    "--output", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 0
+    assert peak < 21e6
     prof = SampledFunction.from_csv(out)
     assert prof.grid.n == 604001
     assert l2e_norm(prof.grid, prof.values) == pytest.approx(1.0, abs=1e-8)

@@ -140,6 +140,61 @@ def test_build_recovery_grid_too_short():
         build_recovery(HALF_LINE, FRONT, grid)
 
 
+def test_recovery_window_is_shorter_than_half_the_interface_separation():
+    # build_recovery asks interfaces to lie 2 sqrt(eps) apart, so windows of
+    # width rho_eps < sqrt(eps) never share a node
+    for eps in np.geomspace(1e-4, 0.5, 12):
+        assert recovery_profile(eps).rho_eps < math.sqrt(eps)
+
+
+def _full_grid_recovery(e, p, grid):
+    """The recovery profile assembled as the maximum over intervals of the
+    minimum of rising and falling windows, each evaluated on every node."""
+    rp = recovery_profile(p.epsilon)
+    x = grid.x
+
+    def profile(theta):
+        values = np.zeros_like(x)
+        for a, b in e.intervals:
+            piece = rp.rising(b + theta * rp.rho_eps - x)
+            if math.isfinite(a):
+                piece = np.minimum(piece, rp.rising(x - a + theta * rp.rho_eps))
+            values = np.maximum(values, piece)
+        return values
+
+    theta = brentq(lambda t: l2e_norm(grid, profile(t)) - 1.0, 0.0, 1.0,
+                   xtol=1e-14)
+    return profile(theta)
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.01])
+@pytest.mark.parametrize("case", ["front", "pulse", "union"])
+def test_build_recovery_matches_the_full_grid_assembly(case, eps):
+    if case == "front":
+        e, p = HALF_LINE, Params(5.0, 1.0, 1.0, eps)
+    elif case == "pulse":
+        e, p = pulse_speed(Params(2.0, 1.0, 1.0)).limit_set, Params(2.0, 1.0, 1.0, eps)
+    else:
+        ivs = ((-0.3, 0.4), (-1.5, -0.9), (-3.1, -2.2))
+        s = -math.log(sum(math.exp(b) - math.exp(a) for a, b in ivs))
+        e = IntervalUnion(tuple((a + s, b + s) for a, b in ivs))
+        p = Params(2.0, 1.0, 1.0, eps)
+    grid = solver_grid(e, eps)
+    got = build_recovery(e, p, grid).w.values
+    assert np.array_equal(got, _full_grid_recovery(e, p, grid))
+
+
+def test_grid_caches_only_its_nodes_and_quadrature():
+    p = Params(2.0, 1.0, 1.0, 0.04)
+    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
+    grid = solver_grid(pulse.limit_set, p.epsilon)
+    init = build_recovery(pulse.limit_set, p, grid).w.values
+    engine = DiscreteEnergy(grid, pulse.c_p, p)
+    engine.value_and_grad(init)
+    minimize_energy(engine, init, max_iter=5)
+    assert set(vars(grid)) - {"x_lo", "x_hi", "n"} == {"x", "quadrature"}
+
+
 def test_profile_box_solves_the_cubic_level(monkeypatch):
     # the top face is beta2 = 1.01, and m1 = -lo - 1 solves
     # gamma M (M + beta) (M + 1) = beta2: in exact rational arithmetic the

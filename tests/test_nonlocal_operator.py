@@ -222,7 +222,7 @@ def test_nonlocal_energy_positive_and_self_adjoint():
     grid = Grid(-12.0, 4.0, 3201)
     c, gamma = 1.4, 1.0
     op = InhibitorOperator(grid, c, gamma)
-    w = grid.weight
+    w = np.exp(grid.x)
     rng = np.random.default_rng(5)
     for _ in range(50):
         u = _random_smooth(grid, rng)
@@ -273,7 +273,7 @@ def test_symmetric_solve_matches_pivoting_reference_on_long_grids():
         op = InhibitorOperator(grid, c, 1.0)
         lu, b = _pivoting_reference(grid, c, 1.0)
         f = rng.uniform(-1.6, 1.0, grid.n)
-        g = grid.weight * grid.h * rng.uniform(-1.6, 1.0, grid.n)
+        g = np.exp(grid.x) * grid.h * rng.uniform(-1.6, 1.0, grid.n)
         for got, want in (
                 (op.solve(f), dgttrs(*lu, b * f)[0]),
                 (op.solve_transpose(g), b * dgttrs(*lu, g, trans="T")[0])):
@@ -320,7 +320,7 @@ def test_cap_counts_the_right_end_robin_coefficient():
         warnings.simplefilter("error")
         v = op.solve(f)
         dv = op.d_speed(f, v)
-        t = op.solve_transpose(grid.weight * f)
+        t = op.solve_transpose(np.exp(grid.x) * f)
     want = dgttrs(*lu, b * f)[0]
     assert np.max(np.abs(v - want)) <= 1e-10 * np.max(np.abs(want))
     assert np.all(np.isfinite(dv)) and np.all(np.isfinite(t))
