@@ -296,6 +296,7 @@ def _cmd_minimize(opts):
         "iterations": result.iterations,
         "converged": result.converged,
         "grad_norm": result.grad_norm,
+        "multiplier": result.multiplier,
         "parts": {
             "gradient": result.report.gradient,
             "potential": result.report.potential,

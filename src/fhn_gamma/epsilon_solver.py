@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, GridError, InvalidParameterError
-from .model import F0, G, Params, f_eps
+from .model import F0, SQRT2, Params
 from .nonlocal_operator import InhibitorOperator
 from .wave_speeds import _newton_root, limit_speed
 from .weighted_space import (
@@ -317,17 +317,38 @@ class DiscreteEnergy:
 
     def _terms(self, values: np.ndarray):
         """Energy report, weighted difference quotient e^x w' at the
-        midpoints, and inhibitor response v of one profile."""
+        midpoints, and inhibitor response v of one profile; costs one solve
+        and 17 passes over the grid.
+
+        Bit for bit the textbook sums of ``weighted_dot`` over ``model.F0``
+        and ``model.G``, from one w^2: G is formed as
+        (w^2 w / 3 - 0.5 w^2) / sqrt(2), and the einsum of q with
+        (0.5 w^2)((1 - w)^2) = 2 F0 is halved.  Scaling by a power of 2
+        commutes with rounding, so every product and partial sum of that
+        einsum is exactly twice the textbook one (a node with
+        0 < |w| < 3e-154, whose term is subnormal, may differ in that
+        term's last bit).  Both einsums take their terms without
+        ``weighted_dot``'s product by 1."""
         eps, p = self.p.epsilon, self.p
-        grid = self.grid
-        dw = np.diff(values) / grid.h
+        grid, q = self.grid, self.grid.quadrature
+        dw = values[1:] - values[:-1]
+        dw /= grid.h
         flux = self.weight_mid * dw
         v = self.op.solve(values)
+        u2 = values * values
+        tilt = u2 * values
+        tilt /= 3.0
+        u2 *= 0.5  # w^2 / 2 from here on
+        tilt -= u2
+        tilt /= SQRT2
+        well = 1.0 - values
+        well *= well
+        well *= u2  # 2 F0
         report = EnergyReport(
             # midpoint rule for e^x w'^2; einsum for the reason in weighted_dot
             gradient=0.5 * eps * grid.h * float(np.einsum("i,i->", flux, dw)),
-            potential=weighted_dot(grid, F0(values), 1.0) / eps,
-            tilt=p.alpha * weighted_dot(grid, G(values), 1.0),
+            potential=0.5 * float(np.einsum("i,i->", q, well)) / eps,
+            tilt=p.alpha * float(np.einsum("i,i->", q, tilt)),
             nonlocal_term=0.5 * p.sigma * weighted_dot(grid, values, v),
         )
         return report, flux, v
@@ -335,17 +356,33 @@ class DiscreteEnergy:
     def _gradient(self, values: np.ndarray, flux: np.ndarray,
                   v: np.ndarray) -> np.ndarray:
         """Energy gradient of a profile, from the flux and response that
-        ``_terms`` returned for it; costs one transposed solve."""
+        ``_terms`` returned for it; costs one transposed solve and 16
+        passes over the grid.
+
+        Bit for bit the sum, in this order, of the difference term, the
+        local term -q f_eps(w) / eps and the nonlocal term
+        (sigma/2) (q v + L^T (q w)).  The local term is formed as
+        q w (w - beta) (w - 1) / eps, with the sign of two factors flipped,
+        which moves no bit; every sum accumulates in place."""
         eps, p, q = self.p.epsilon, self.p, self.grid.quadrature
-        g_grad = np.zeros_like(values)
-        g_grad[:-1] -= flux
-        g_grad[1:] += flux
-        g_grad *= eps
+        g = np.zeros_like(values)
+        g[:-1] -= flux
+        g[1:] += flux
+        g *= eps
 
-        g_local = -q * f_eps(values, p.beta_eps) / eps
+        local = values - p.beta_eps
+        local *= values
+        buf = values - 1.0
+        local *= buf
+        local *= q
+        local /= eps
+        g += local
 
-        g_nonlocal = 0.5 * p.sigma * (q * v + self.op.solve_transpose(q * values))
-        return g_grad + g_local + g_nonlocal
+        coupling = self.op.solve_transpose(q * values)
+        coupling += np.multiply(q, v, out=buf)
+        coupling *= 0.5 * p.sigma
+        g += coupling
+        return g
 
     def report(self, values: np.ndarray) -> EnergyReport:
         return self._terms(values)[0]
@@ -372,12 +409,17 @@ class DiscreteEnergy:
         eps = self.p.epsilon
         beta = self.p.beta_eps
         u = values
-        curvature = (3.0 * u * u - 2.0 * (1.0 + beta) * u + beta) / eps
-        return (
-            2.0 * eps / self.grid.h**2
-            + np.maximum(curvature, 0.0)
-            + 1.0
-        )
+        # (3 u u - 2 (1 + beta) u + beta) / eps, clipped at 0, + 2 eps/h^2 + 1
+        # in place but in that order of operations, so no bit moves
+        diag = 3.0 * u
+        diag *= u
+        diag -= 2.0 * (1.0 + beta) * u
+        diag += beta
+        diag /= eps
+        np.maximum(diag, 0.0, out=diag)
+        diag += 2.0 * eps / self.grid.h**2
+        diag += 1.0
+        return diag
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Clamp into the box, then rescale to unit weighted L2 norm."""
@@ -385,17 +427,26 @@ class DiscreteEnergy:
         norm = l2e_norm(self.grid, clamped)
         if norm == 0.0:  # pragma: no cover - defensive
             raise InvalidParameterError("cannot normalize the zero profile")
-        return clamped / norm
+        clamped /= norm
+        return clamped
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """The last iterate of ``minimize_energy`` and what the descent did.
+
+    ``multiplier`` is lambda = w^T g / 2, from the final profile w and its
+    energy gradient g: the Lagrange multiplier of the norm constraint, which
+    equals the energy at any constrained critical point, so value -
+    multiplier says in energy units how far the profile is from one."""
+
     profile: SampledFunction
     value: float
     report: EnergyReport
     iterations: int
     converged: bool
     grad_norm: float
+    multiplier: float
 
 
 def minimize_energy(
@@ -410,13 +461,19 @@ def minimize_energy(
     made tangential to the norm constraint and zeroed on active box faces.
     Steps use a Barzilai-Borwein guess with backtracking; projection is
     box-clamp followed by renormalization.  Accepted steps never increase
-    the energy.  A line-search trial costs only its energy (one solve); the
-    gradient (one transposed solve) is finished for the accepted trial
-    alone, from that trial's own flux and response, and the returned report
-    is the final iterate's own.  Only the start is a full
-    ``value_and_grad``.  On hitting the iteration cap the best iterate is
-    returned with ``converged=False``.  Needs max_iter >= 1 and
-    0 < tol < inf.
+    the energy.  A line-search trial costs only its energy: one solve and
+    26 passes over the grid (9 to step, project and measure the distance,
+    17 in ``_terms``).  The gradient (one transposed solve and 16 passes in
+    ``_gradient``) is finished for the accepted trial alone, from that
+    trial's own flux and response; the next direction and BB step size
+    take 22 passes more, 9 of them in ``preconditioner``.  The BB step
+    reuses the accepted trial's step and squared distance, and the
+    box-face masks run only at an iterate within 1e-12 of a face.  The returned
+    report is the final iterate's own, and ``multiplier`` comes from its
+    gradient after the loop.  Only the start is a full ``value_and_grad``.
+    Every float equals that of the textbook expressions (see ``_terms``).
+    On hitting the iteration cap the best iterate is returned with
+    ``converged=False``.  Needs max_iter >= 1 and 0 < tol < inf.
     """
     if not (max_iter >= 1 and 0.0 < tol < math.inf):
         raise InvalidParameterError(
@@ -425,33 +482,35 @@ def minimize_energy(
         )
     grid = engine.grid
     q = grid.quadrature
-    lo, hi = engine.box
+    lo_face, hi_face = engine.box[0] + 1e-12, engine.box[1] - 1e-12
     w = engine.project(np.asarray(init, dtype=float))
     f, g = engine.value_and_grad(w)
     report = None  # the start's report is computed only if no step is taken
     step = 1.0
-    prev_w = prev_d = None
+    s = ss = prev_d = None  # the last accepted step, its squared norm
     grad_norm = math.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         d = g / q
         d -= weighted_dot(grid, d, w) * w
-        d[(w <= lo + 1e-12) & (d > 0.0)] = 0.0
-        d[(w >= hi - 1e-12) & (d < 0.0)] = 0.0
+        # a face no node is within 1e-12 of has an all-false mask
+        if w.min() <= lo_face:
+            d[(w <= lo_face) & (d > 0.0)] = 0.0
+        if w.max() >= hi_face:
+            d[(w >= hi_face) & (d < 0.0)] = 0.0
         grad_norm = math.sqrt(weighted_dot(grid, d, d))
         d /= engine.preconditioner(w)
         if grad_norm < tol:
             converged, it = True, it - 1
             break
-        if prev_w is not None:
-            s = w - prev_w
+        if s is not None:
             y = d - prev_d
             sy = weighted_dot(grid, s, y)
             if sy > 0.0:
-                step = weighted_dot(grid, s, s) / sy
+                step = ss / sy
         step = min(max(step, 1e-10), 1e3)
-        prev_w, prev_d = w, d
+        prev_d = d
 
         accepted = False
         t = step
@@ -464,6 +523,7 @@ def minimize_energy(
             trial_report, flux, v = engine._terms(trial)
             if trial_report.total <= f - 1e-4 * dist2 / max(t, 1e-300):
                 w, report, f = trial, trial_report, trial_report.total
+                s, ss = delta, dist2
                 g = engine._gradient(w, flux, v)
                 accepted = True
                 break
@@ -475,6 +535,7 @@ def minimize_energy(
     return MinimizeResult(
         profile=SampledFunction(grid, w), value=f, report=report,
         iterations=it, converged=converged, grad_norm=grad_norm,
+        multiplier=0.5 * float(np.einsum("i,i->", w, g)),
     )
 
 

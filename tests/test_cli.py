@@ -239,6 +239,14 @@ def test_minimize_short_budget_reports_nonconvergence(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert not summary["converged"]
     assert out.exists()
+    # the multiplier of the norm constraint, as the library reports it
+    front = Params(5.0, 1.0, 1.0, 0.04)
+    e = front_speed(front).limit_set
+    grid = solver_grid(e, 0.04)
+    result = minimize_energy(DiscreteEnergy(grid, 0.114569, front),
+                             build_recovery(e, front, grid).w.values,
+                             max_iter=60)
+    assert summary["multiplier"] == result.multiplier
 
 
 def _assert_profile_csv(path, grid, values):

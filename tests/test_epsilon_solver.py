@@ -25,7 +25,7 @@ from fhn_gamma.epsilon_solver import (
 )
 from fhn_gamma.errors import BracketError, InvalidParameterError
 from fhn_gamma.limit_energy import sharp_interface_energy
-from fhn_gamma.model import F0, G, Params
+from fhn_gamma.model import F0, G, Params, f_eps
 from fhn_gamma.wave_speeds import front_speed, limit_speed, pulse_speed
 from fhn_gamma.weighted_space import (
     Grid,
@@ -33,6 +33,7 @@ from fhn_gamma.weighted_space import (
     SampledFunction,
     l2e_norm,
     shift,
+    weighted_dot,
 )
 
 FRONT = Params(5.0, 1.0, 1.0, 0.04)
@@ -442,6 +443,221 @@ def test_value_only_trials_match_full_evaluations(monkeypatch):
     assert fast.profile.values.tobytes() == slow.profile.values.tobytes()
 
 
+# -- the kernel against the textbook expressions, bit for bit ---------------
+#
+# The minimizer's iteration counts are chaotic in the last bit of every
+# float it reads, so the kernel must not move one: these expressions are the
+# energy, gradient, preconditioner and projection written the plain way,
+# from model.F0, model.G, model.f_eps and weighted_dot.
+
+def _textbook_terms(engine, w):
+    p, grid, eps = engine.p, engine.grid, engine.p.epsilon
+    dw = np.diff(w) / grid.h
+    flux = np.exp(0.5 * (grid.x[1:] + grid.x[:-1])) * dw
+    v = engine.op.solve(w)
+    report = EnergyReport(
+        gradient=0.5 * eps * grid.h * float(np.einsum("i,i->", flux, dw)),
+        potential=weighted_dot(grid, F0(w), 1.0) / eps,
+        tilt=p.alpha * weighted_dot(grid, G(w), 1.0),
+        nonlocal_term=0.5 * p.sigma * weighted_dot(grid, w, v),
+    )
+    return report, flux, v
+
+
+def _textbook_gradient(engine, w, flux, v):
+    p, eps, q = engine.p, engine.p.epsilon, engine.grid.quadrature
+    g_grad = np.zeros_like(w)
+    g_grad[:-1] -= flux
+    g_grad[1:] += flux
+    g_grad *= eps
+    g_local = -q * f_eps(w, p.beta_eps) / eps
+    g_nonlocal = 0.5 * p.sigma * (q * v + engine.op.solve_transpose(q * w))
+    return g_grad + g_local + g_nonlocal
+
+
+def _textbook_preconditioner(engine, w):
+    eps, beta = engine.p.epsilon, engine.p.beta_eps
+    curvature = (3.0 * w * w - 2.0 * (1.0 + beta) * w + beta) / eps
+    return 2.0 * eps / engine.grid.h**2 + np.maximum(curvature, 0.0) + 1.0
+
+
+def _textbook_project(engine, w):
+    clamped = np.clip(w, engine.box[0], engine.box[1])
+    return clamped / l2e_norm(engine.grid, clamped)
+
+
+def _reference_minimize(engine, init, tol=1e-6, max_iter=10000):
+    """The projected BB loop of minimize_energy as it was before its array
+    work was fused, on the textbook kernel; also counts the nodes the
+    box-face masks zeroed."""
+    grid = engine.grid
+    q = grid.quadrature
+    lo, hi = engine.box
+    w = _textbook_project(engine, np.asarray(init, dtype=float))
+    report, flux, v = _textbook_terms(engine, w)
+    f, g = report.total, _textbook_gradient(engine, w, flux, v)
+    report = None
+    step = 1.0
+    prev_w = prev_d = None
+    grad_norm = math.inf
+    converged = False
+    masked = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        d = g / q
+        d -= weighted_dot(grid, d, w) * w
+        for mask in ((w <= lo + 1e-12) & (d > 0.0),
+                     (w >= hi - 1e-12) & (d < 0.0)):
+            masked += int(mask.sum())
+            d[mask] = 0.0
+        grad_norm = math.sqrt(weighted_dot(grid, d, d))
+        d /= _textbook_preconditioner(engine, w)
+        if grad_norm < tol:
+            converged, it = True, it - 1
+            break
+        if prev_w is not None:
+            s = w - prev_w
+            y = d - prev_d
+            sy = weighted_dot(grid, s, y)
+            if sy > 0.0:
+                step = weighted_dot(grid, s, s) / sy
+        step = min(max(step, 1e-10), 1e3)
+        prev_w, prev_d = w, d
+
+        accepted = False
+        t = step
+        for _ in range(60):
+            trial = _textbook_project(engine, w - t * d)
+            delta = trial - w
+            dist2 = weighted_dot(grid, delta, delta)
+            if dist2 == 0.0:
+                break
+            trial_report, flux, v = _textbook_terms(engine, trial)
+            if trial_report.total <= f - 1e-4 * dist2 / max(t, 1e-300):
+                w, report, f = trial, trial_report, trial_report.total
+                g = _textbook_gradient(engine, w, flux, v)
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+    if report is None:
+        report = _textbook_terms(engine, w)[0]
+    return w, f, report, it, converged, grad_norm, masked
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """(engine, profile) for the pulse (2, 1, 1) at c_p and the front
+    (5, 1, 1) at c_f, at eps = 0.04, each with its recovery profile, and a
+    box-clipped random profile with negative entries on the pulse grid."""
+    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
+    cases = {}
+    for name, p, e, c in (
+        ("pulse", Params(2.0, 1.0, 1.0, 0.04), pulse.limit_set, pulse.c_p),
+        ("front", FRONT, HALF_LINE, front_speed(Params(5.0, 1.0, 1.0)).c_f),
+    ):
+        grid = solver_grid(e, p.epsilon)
+        cases[name] = (DiscreteEnergy(grid, c, p),
+                       build_recovery(e, p, grid).w.values)
+    engine = cases["pulse"][0]
+    rng = np.random.default_rng(7)
+    values = np.clip(rng.normal(0.3, 0.9, engine.grid.n), *engine.box)
+    assert values.min() == engine.box[0] and (values < 0.0).sum() > 1000
+    cases["random"] = (engine, values)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["pulse", "front", "random"])
+def test_kernel_is_bit_identical_to_the_textbook_expressions(kernel_cases,
+                                                             case):
+    engine, w = kernel_cases[case]
+    report, flux, v = _textbook_terms(engine, w)
+    assert engine.report(w) == report
+    value, grad = engine.value_and_grad(w)
+    assert value == report.total
+    assert grad.tobytes() == _textbook_gradient(engine, w, flux, v).tobytes()
+    assert (engine.preconditioner(w).tobytes()
+            == _textbook_preconditioner(engine, w).tobytes())
+    assert (engine.project(w).tobytes()
+            == _textbook_project(engine, w).tobytes())
+
+
+def test_kernel_mutates_none_of_its_arguments(kernel_cases):
+    engine, w = kernel_cases["random"]
+    grid = engine.grid
+    _, flux, v = engine._terms(w)
+    args = (w, flux, v, grid.quadrature, engine.weight_mid)
+    before = [a.tobytes() for a in args]
+    engine._terms(w)
+    engine._gradient(w, flux, v)
+    engine.value_and_grad(w)
+    engine.report(w)
+    engine.preconditioner(w)
+    engine.project(w)
+    engine.d_speed(w)
+    minimize_energy(engine, w, max_iter=3)
+    assert [a.tobytes() for a in args] == before
+    assert not grid.quadrature.flags.writeable
+
+
+def _assert_matches_reference(engine, init, max_iter):
+    got = minimize_energy(engine, init, max_iter=max_iter)
+    w, value, report, it, converged, grad_norm, masked = _reference_minimize(
+        engine, init, max_iter=max_iter)
+    assert got.profile.values.tobytes() == w.tobytes()
+    assert got.value == value and got.report == report
+    assert got.grad_norm == grad_norm
+    assert (got.iterations, got.converged) == (it, converged)
+    return got, masked
+
+
+def test_minimize_matches_the_reference_loop_from_the_pulse_recovery(
+        kernel_cases):
+    # the plateau of the pulse reaches the upper face 1.01 on about a third
+    # of the iterations, so both the skipped and the applied masks run
+    engine, init = kernel_cases["pulse"]
+    got, masked = _assert_matches_reference(engine, init, max_iter=200)
+    assert got.iterations == 200 and masked > 0
+
+
+def test_minimize_matches_the_reference_loop_on_a_box_face(kernel_cases):
+    # a rough start (so its multiplier is large and the tangential direction
+    # points below the lower face) whose first 50 nodes lie on that face;
+    # the rest is scaled so the norm is 1 to rounding, and the projection
+    # leaves those nodes within 1e-12 of the face
+    engine, _ = kernel_cases["pulse"]
+    grid, lo = engine.grid, engine.box[0]
+    q = grid.quadrature
+    rng = np.random.default_rng(3)
+    init = rng.uniform(0.0, 1.0, grid.n)
+    init[:50] = lo
+    rest = float(np.sum(q[50:] * init[50:] ** 2))
+    init[50:] *= math.sqrt((1.0 - float(np.sum(q[:50])) * lo * lo) / rest)
+    start = engine.project(init)
+    assert np.all(start[:50] <= lo + 1e-12)
+    _, masked = _assert_matches_reference(engine, init, max_iter=30)
+    assert masked > 0
+
+
+def test_multiplier_measures_the_distance_from_a_critical_point(kernel_cases):
+    # lambda = w^T g / 2 equals the energy at a constrained critical point:
+    # the converged front minimizer at c_f reads value - lambda = -1.5e-6,
+    # the pulse after 300 iterations, the cap of the benchmark's speed
+    # solve, -5.2e-2
+    engine, init = kernel_cases["front"]
+    front = minimize_energy(engine, init)
+    assert front.converged
+    assert abs(front.value - front.multiplier) < 1e-5
+    engine, init = kernel_cases["pulse"]
+    pulse = minimize_energy(engine, init, max_iter=300)
+    assert not pulse.converged
+    assert abs(pulse.value - pulse.multiplier) > 1e-2
+    w = pulse.profile.values
+    grad = engine.value_and_grad(w)[1]
+    assert pulse.multiplier == 0.5 * float(np.einsum("i,i->", w, grad))
+
+
 @pytest.mark.parametrize("alpha", [2.0, 5.0])
 def test_solver_grid_cut_keeps_nodes_and_energies(alpha):
     # the pulse (2, 1, 1) and the front (5, 1, 1) at eps = 0.04, against the
@@ -558,7 +774,7 @@ def test_speed_stops_on_the_newton_step_at_the_last_iterate(monkeypatch):
         return MinimizeResult(
             profile=SampledFunction(grid, init), value=value,
             report=EnergyReport(0.0, 0.0, 0.0, value), iterations=1,
-            converged=True, grad_norm=0.0,
+            converged=True, grad_norm=0.0, multiplier=value,
         )
 
     monkeypatch.setattr(epsilon_solver, "DiscreteEnergy", ScriptedEnergy)
