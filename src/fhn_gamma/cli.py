@@ -4,7 +4,9 @@ Subcommands cover the limit-level solvers (classify, front-speed,
 pulse-speed, limit-energy, lc-apply), the finite-width solvers (recovery,
 minimize, speed-eps, study) and a cartesian parameter sweep.  Parameters
 come from flags or a config file (key=value lines or a JSON object); flags
-win.  Unknown config keys are rejected.
+win.  Unknown config keys are rejected.  recovery and minimize start from
+--set, else from the regime's limit set; minimize and speed-eps print a
+JSON summary and write their final profile CSV to --output.
 
 Exit codes: 0 success, 2 invalid parameters or wrong regime, 3 solver
 non-convergence, 4 I/O failure.  Tables are written row by row, in memory
@@ -27,6 +29,7 @@ from functools import partial
 from . import svg
 from .epsilon_solver import (
     BRACKET_FACTOR,
+    SPEED_MAX_ITER,
     STUDY_COLUMNS,
     DiscreteEnergy,
     build_recovery,
@@ -133,6 +136,8 @@ _PARAM_OPTS = {
 _EPS_OPT = {"epsilon": (float, _REQUIRED, "interface width")}
 _OUT_OPT = {"output": (str, None, "output file (default: stdout)")}
 _SVG_OPT = {"svg": (str, None, "also write a line plot to this SVG file")}
+_SET_OPT = {"set": (str, None, "set as JSON (default: the regime's limit set)")}
+_PROFILE_OPT = {"output": (str, None, "final profile CSV (default: not written)")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,11 +208,6 @@ def _open_output(path):
             else open(path, "w", encoding="utf-8", newline=""))
 
 
-def _emit_text(text: str, path) -> None:
-    with _open_output(path) as fh:
-        fh.write(text)
-
-
 def _emit_csv(header, rows, path) -> None:
     """Write a CSV table with ``repr`` floats, each row as ``rows`` yields
     it.  The destination is opened once the first row exists, so an input
@@ -228,7 +228,8 @@ def _cmd_classify(opts):
 
 def _cmd_speed(solver, opts):
     result = solver(_params(opts))
-    _emit_text(json.dumps(result.to_dict(), indent=2) + "\n", opts["output"])
+    with _open_output(opts["output"]) as fh:
+        fh.write(json.dumps(result.to_dict(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -266,9 +267,15 @@ def _cmd_lc_apply(opts):
     return EXIT_OK
 
 
+def _start_set(opts, p: Params) -> IntervalUnion:
+    """The --set union, else the regime's limit set (RegimeError in neither)."""
+    return (IntervalUnion.from_json(opts["set"]) if opts["set"]
+            else limit_speed(p).limit_set)
+
+
 def _cmd_recovery(opts):
     p = _params(opts)
-    e = IntervalUnion.from_json(opts["set"])
+    e = _start_set(opts, p)
     grid = solver_grid(e, p.epsilon)
     profile = build_recovery(e, p, grid)
     _emit_csv(("x", "value"), zip(grid.x, profile.w.values), opts["output"])
@@ -283,8 +290,7 @@ def _cmd_recovery(opts):
 
 def _cmd_minimize(opts):
     p = _params(opts)
-    e = (IntervalUnion.from_json(opts["set"]) if opts["set"]
-         else limit_speed(p).limit_set)
+    e = _start_set(opts, p)
     grid = solver_grid(e, p.epsilon)
     # first: it refuses a grid too long to solve on before a recovery is built
     engine = DiscreteEnergy(grid, opts["c"], p)
@@ -336,10 +342,9 @@ def _cmd_speed_eps(opts):
         "converged": result.converged,
         "c_limit": c_limit,
     }
-    _emit_text(json.dumps(summary, indent=2) + "\n", opts["output"])
-    if opts["profile_output"]:
-        _emit_csv(("x", "value"), zip(grid.x, result.profile.values),
-                  opts["profile_output"])
+    print(json.dumps(summary, indent=2))
+    if opts["output"]:
+        _emit_csv(("x", "value"), zip(grid.x, result.profile.values), opts["output"])
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
@@ -364,8 +369,7 @@ def _cmd_study(opts):
     return EXIT_OK
 
 
-def _sweep_point(task):
-    alpha, gamma, sigma = task
+def _sweep_point(alpha, gamma, sigma):
     p = Params(alpha, gamma, sigma)
     regime = classify(p)
     c = ell = ""
@@ -380,7 +384,7 @@ def _sweep_point(task):
 def _cmd_sweep(opts):
     alphas, gammas, sigmas = (_parse_range(opts[f"{axis}_range"])
                               for axis in ("alpha", "gamma", "sigma"))
-    rows = (_sweep_point((alpha, gamma, sigma))
+    rows = (_sweep_point(alpha, gamma, sigma)
             for alpha in _range_values(*alphas)
             for gamma in _range_values(*gammas)
             for sigma in _range_values(*sigmas))
@@ -404,27 +408,23 @@ _COMMANDS: dict[str, tuple] = {
         "input": (str, _REQUIRED, "profile CSV (columns x,value)"),
     }),
     "recovery": (_cmd_recovery, {
-        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT, **_SVG_OPT,
-        "set": (str, '[["-inf", 0.0]]', "interval union as JSON"),
-    }),
+        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT, **_SVG_OPT, **_SET_OPT}),
     "minimize": (_cmd_minimize, {
-        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT, **_SVG_OPT,
+        **_PARAM_OPTS, **_EPS_OPT, **_PROFILE_OPT, **_SVG_OPT, **_SET_OPT,
         "c": (float, _REQUIRED, "wave speed"),
-        "set": (str, None, "initial set as JSON (default: regime limit set)"),
         "max_iter": (int, 10000, "iteration cap"),
         "tol": (float, 1e-6, "projected-gradient tolerance"),
     }),
     "speed-eps": (_cmd_speed_eps, {
-        **_PARAM_OPTS, **_EPS_OPT, **_OUT_OPT,
+        **_PARAM_OPTS, **_EPS_OPT, **_PROFILE_OPT,
         "c_lo": (float, None, "bracket lower end (default: half limit speed)"),
         "c_hi": (float, None, "bracket upper end (default: twice limit speed)"),
-        "max_iter": (int, 1500, "iteration cap per minimization"),
-        "profile_output": (str, None, "write the final profile CSV here"),
+        "max_iter": (int, SPEED_MAX_ITER, "iteration cap per minimization"),
     }),
     "study": (_cmd_study, {
         **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
         "eps_list": (str, "0.04,0.02,0.01", "comma-separated widths"),
-        "max_iter": (int, 1500, "iteration cap per minimization"),
+        "max_iter": (int, SPEED_MAX_ITER, "iteration cap per minimization"),
     }),
     "sweep": (_cmd_sweep, {
         **_OUT_OPT,

@@ -36,8 +36,9 @@ from .weighted_space import (
 #: the speed solve stops once its Newton step (or bracket) is this small
 #: relative to max(1, c)
 SPEED_BRACKET_TOL = 1e-3
-#: gradient-norm tolerance of every minimization inside the speed solve
+#: gradient-norm tolerance and default iteration cap of speed-solve minimizations
 SPEED_GRAD_TOL = 1e-6
+SPEED_MAX_ITER = 1500
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
 #: recovery profiles are sampled at this many points, from an inverse taken
@@ -577,7 +578,7 @@ def speed_eps(
     c_hi: float,
     grid: Grid,
     init: np.ndarray,
-    max_iter: int = 10000,
+    max_iter: int = SPEED_MAX_ITER,
 ) -> SpeedResult:
     """Speed at which the constrained minimum energy crosses zero.
 
@@ -597,10 +598,10 @@ def speed_eps(
     speed whose Newton step |m/m'| (or the bracket) is at most
     SPEED_BRACKET_TOL relative to max(1, c), and returns that last iterate,
     with every minimization and certified end in ``steps``.  Minimizations
-    run to the gradient-norm tolerance SPEED_GRAD_TOL or ``max_iter``
-    iterations and warm-start from the previous minimizer.  Each speed's
-    inhibitor matrix is factored once: an uncertified c_hi is minimized with
-    the energy built for its certificate.
+    stop at the gradient norm SPEED_GRAD_TOL or after ``max_iter`` (default
+    SPEED_MAX_ITER) iterations and warm-start from the previous minimizer.
+    Each speed's inhibitor matrix is factored once: an uncertified c_hi is
+    minimized with the energy built for its certificate.
     """
     if not (0.0 < c_lo < math.inf and 0.0 < c_hi < math.inf):
         raise InvalidParameterError(
@@ -671,16 +672,16 @@ class StudyResult:
 def convergence_study(
     eps_list,
     p: Params,
-    max_iter: int = 1500,
+    max_iter: int = SPEED_MAX_ITER,
 ) -> StudyResult:
     """Solve the finite-width speed problem along a ladder of interface
     widths and tabulate the errors against the limit speed and limit set.
 
     The speed bracket for every width is [c_limit/BRACKET_FACTOR,
     c_limit*BRACKET_FACTOR], and each minimization stops at the gradient
-    norm SPEED_GRAD_TOL or after ``max_iter`` iterations.  Error columns
-    are flagged monotone when they decrease weakly down the ladder (widths
-    sorted descending).
+    norm SPEED_GRAD_TOL or after ``max_iter`` (default SPEED_MAX_ITER)
+    iterations.  Error columns are flagged monotone when they decrease
+    weakly down the ladder (widths sorted descending).
 
     The default budget per minimization is far below minimize_energy's cap:
     the speed Newton needs only the value and slope, whose errors are second

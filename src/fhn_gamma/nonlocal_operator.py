@@ -182,7 +182,6 @@ class InhibitorOperator:
         n = grid.n
         self.c = c
         self.gamma = gamma
-        self.roots = roots
 
         c2 = c * c
         sub = -c2 / h**2 + c2 / (2.0 * h)

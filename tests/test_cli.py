@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from fhn_gamma.cli import _emit_csv, run
 from fhn_gamma.epsilon_solver import (
     DiscreteEnergy,
     build_recovery,
+    convergence_study,
     minimize_energy,
     solver_grid,
     speed_eps,
@@ -264,7 +266,7 @@ def _assert_profile_csv(path, grid, values):
     assert np.array_equal(back.values, values)
 
 
-def test_profile_outputs_are_repr_csv(tmp_path):
+def test_profile_outputs_are_repr_csv(tmp_path, capsys):
     front = Params(5.0, 1.0, 1.0, 0.04)
     limit = front_speed(front)
     c_f, e = limit.c_f, limit.limit_set
@@ -280,14 +282,63 @@ def test_profile_outputs_are_repr_csv(tmp_path):
 
     pulse = Params(2.0, 1.0, 1.0, 0.04)
     out = tmp_path / "speed.csv"
+    capsys.readouterr()
     assert run(["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04",
                 "--c-lo", "2.1169", "--c-hi", "2.5614", "--max-iter", "20",
-                "--profile-output", str(out)]) == 3
+                "--output", str(out)]) == 3
     e = pulse_speed(pulse).limit_set
     grid = solver_grid(e, 0.04)
     result = speed_eps(pulse, 2.1169, 2.5614, grid,
                        build_recovery(e, pulse, grid).w.values, max_iter=20)
     _assert_profile_csv(out, grid, result.profile.values)
+    # the summary goes to stdout, as minimize's does
+    summary = json.loads(capsys.readouterr().out)
+    assert list(summary) == ["c_eps", "value", "iterations", "minimizations",
+                             "c_hi_certified", "converged", "c_limit"]
+    assert summary["c_eps"] == result.c_eps
+
+
+def test_speed_eps_has_no_profile_output_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04",
+             "--profile-output", str(tmp_path / "speed.csv")])
+    assert exc.value.code == 2
+    assert "--profile-output" in capsys.readouterr().err
+    assert not (tmp_path / "speed.csv").exists()
+
+
+def test_recovery_of_a_front_starts_from_the_half_line(tmp_path):
+    args = ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
+            "--epsilon", "0.04", "--output"]
+    default, half_line = tmp_path / "default.csv", tmp_path / "half_line.csv"
+    assert run(args + [str(default)]) == 0
+    assert run(args + [str(half_line), "--set", '[["-inf", 0.0]]']) == 0
+    assert default.read_bytes() == half_line.read_bytes()
+
+
+def test_recovery_of_a_pulse_starts_from_the_pulse_interval(tmp_path):
+    out = tmp_path / "pulse.csv"
+    assert run(["recovery", *_PULSE_ARGS, "--epsilon", "0.04",
+                "--output", str(out)]) == 0
+    pulse = Params(2.0, 1.0, 1.0, 0.04)
+    e = pulse_speed(pulse).limit_set
+    grid = solver_grid(e, 0.04)
+    _assert_profile_csv(out, grid, build_recovery(e, pulse, grid).w.values)
+
+
+def test_recovery_in_neither_regime_needs_a_set(capsys):
+    assert run(["recovery", "--alpha", "0.5", "--gamma", "1", "--sigma", "1",
+                "--epsilon", "0.04"]) == 2
+    assert "neither" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, solver", [
+    ("speed-eps", speed_eps), ("study", convergence_study)])
+def test_speed_solve_budget_is_the_library_default(command, solver):
+    # one budget per speed-solve minimization, in the CLI as in the library
+    cli_default = cli._COMMANDS[command][1]["max_iter"][1]
+    assert cli_default == inspect.signature(solver).parameters[
+        "max_iter"].default
 
 
 def test_bad_range_syntax(capsys):
@@ -523,11 +574,11 @@ def _counting_sweep_point(monkeypatch, fail_at=None):
     calls = []
     sweep_point = cli._sweep_point
 
-    def counting(task):
-        calls.append(task)
+    def counting(*args):
+        calls.append(args)
         if len(calls) == fail_at:
             raise BracketError("injected failure")
-        return sweep_point(task)
+        return sweep_point(*args)
 
     monkeypatch.setattr(cli, "_sweep_point", counting)
     return calls
