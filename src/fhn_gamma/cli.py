@@ -4,15 +4,20 @@ Subcommands cover the limit-level solvers (classify, front-speed,
 pulse-speed, limit-energy, lc-apply), the finite-width solvers (recovery,
 minimize, speed-eps, study) and a cartesian parameter sweep.  Parameters
 come from flags or a config file (key=value lines or a JSON object); flags
-win.  Unknown config keys are rejected.  recovery and minimize start from
---set, else from the regime's limit set; minimize and speed-eps print a
-JSON summary and write their final profile CSV to --output.
+win.  Unknown config keys are rejected.  lc-apply takes --gamma alone of
+the physical parameters: the inhibitor operator depends on c and gamma
+only.  recovery and minimize start from --set, else from the regime's limit
+set; minimize and speed-eps print a JSON summary and write their final
+profile CSV to --output.  A value with a library default (an iteration cap,
+a tolerance) takes that default from the library.
 
 Exit codes: 0 success, 2 invalid parameters or wrong regime, 3 solver
-non-convergence, 4 I/O failure.  Tables are written row by row, in memory
-that does not grow with their length: a failure at the first row writes
-nothing, a later one leaves the rows before it and sets the exit code, and
-a closed stdout exits 4.
+non-convergence (minimize, speed-eps, and study once any row is flagged
+maxiter), 4 I/O failure.  Tables are written row by row, in memory that
+does not grow with their length: a failure at the first row writes nothing,
+a later one leaves the rows before it and sets the exit code, and a closed
+stdout exits 4.  study is the exception: it solves every width before it
+writes its first row, so a failure at any width writes nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from functools import partial
 from . import svg
 from .epsilon_solver import (
     BRACKET_FACTOR,
+    MINIMIZE_GRAD_TOL,
+    MINIMIZE_MAX_ITER,
     SPEED_MAX_ITER,
     STUDY_COLUMNS,
     DiscreteEnergy,
@@ -107,7 +114,7 @@ def load_config(path: str) -> dict:
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past 4,300 digits
             raise InvalidParameterError(f"{path}: config is not JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidParameterError(f"{path}: config JSON must be an object")
@@ -182,7 +189,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
                 )
             try:
                 merged[key] = _config_value(opts_spec[key][0], value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InvalidParameterError(
                     f"config key {key!r}: cannot parse {value!r}"
                 ) from None
@@ -253,9 +260,8 @@ def _cmd_limit_energy(opts):
 
 
 def _cmd_lc_apply(opts):
-    p = _params(opts)
     f = SampledFunction.from_csv(opts["input"])
-    v = InhibitorOperator(f.grid, opts["c"], p.gamma).solve(f.values)
+    v = InhibitorOperator(f.grid, opts["c"], opts["gamma"]).solve(f.values)
     _emit_csv(("x", "value"), zip(f.grid.x, v), opts["output"])
     if opts["svg"]:
         svg.line_plot(
@@ -366,6 +372,8 @@ def _cmd_study(opts):
             title="convergence to the sharp-interface limit",
             xlabel="eps", ylabel="error",
         )
+    if any(row["flag"] == "maxiter" for row in result.rows):
+        return EXIT_NONCONVERGENCE
     return EXIT_OK
 
 
@@ -403,7 +411,7 @@ _COMMANDS: dict[str, tuple] = {
         "ell_grid": (str, "0.1:10:200", "width grid as lo:hi:n"),
     }),
     "lc-apply": (_cmd_lc_apply, {
-        **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
+        "gamma": _PARAM_OPTS["gamma"], **_OUT_OPT, **_SVG_OPT,
         "c": (float, _REQUIRED, "wave speed"),
         "input": (str, _REQUIRED, "profile CSV (columns x,value)"),
     }),
@@ -412,8 +420,8 @@ _COMMANDS: dict[str, tuple] = {
     "minimize": (_cmd_minimize, {
         **_PARAM_OPTS, **_EPS_OPT, **_PROFILE_OPT, **_SVG_OPT, **_SET_OPT,
         "c": (float, _REQUIRED, "wave speed"),
-        "max_iter": (int, 10000, "iteration cap"),
-        "tol": (float, 1e-6, "projected-gradient tolerance"),
+        "max_iter": (int, MINIMIZE_MAX_ITER, "iteration cap"),
+        "tol": (float, MINIMIZE_GRAD_TOL, "projected-gradient tolerance"),
     }),
     "speed-eps": (_cmd_speed_eps, {
         **_PARAM_OPTS, **_EPS_OPT, **_PROFILE_OPT,

@@ -36,8 +36,10 @@ from .weighted_space import (
 #: the speed solve stops once its Newton step (or bracket) is this small
 #: relative to max(1, c)
 SPEED_BRACKET_TOL = 1e-3
-#: gradient-norm tolerance and default iteration cap of speed-solve minimizations
-SPEED_GRAD_TOL = 1e-6
+#: gradient-norm tolerance of every minimization, and the default iteration
+#: caps of a lone minimization and of each speed-solve minimization
+MINIMIZE_GRAD_TOL = 1e-6
+MINIMIZE_MAX_ITER = 10000
 SPEED_MAX_ITER = 1500
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
@@ -453,8 +455,8 @@ class MinimizeResult:
 def minimize_energy(
     engine: DiscreteEnergy,
     init: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 10000,
+    tol: float = MINIMIZE_GRAD_TOL,
+    max_iter: int = MINIMIZE_MAX_ITER,
 ) -> MinimizeResult:
     """Projected gradient descent on the unit sphere within the box.
 
@@ -598,8 +600,9 @@ def speed_eps(
     speed whose Newton step |m/m'| (or the bracket) is at most
     SPEED_BRACKET_TOL relative to max(1, c), and returns that last iterate,
     with every minimization and certified end in ``steps``.  Minimizations
-    stop at the gradient norm SPEED_GRAD_TOL or after ``max_iter`` (default
-    SPEED_MAX_ITER) iterations and warm-start from the previous minimizer.
+    stop at the gradient norm MINIMIZE_GRAD_TOL or after ``max_iter``
+    (default SPEED_MAX_ITER) iterations and warm-start from the previous
+    minimizer.
     Each speed's inhibitor matrix is factored once: an uncertified c_hi is
     minimized with the energy built for its certificate.
     """
@@ -614,7 +617,7 @@ def speed_eps(
 
     def minimum(engine: DiscreteEnergy):
         nonlocal warm
-        res = minimize_energy(engine, warm, tol=SPEED_GRAD_TOL,
+        res = minimize_energy(engine, warm, tol=MINIMIZE_GRAD_TOL,
                               max_iter=max_iter)
         warm = res.profile.values
         slope = engine.d_speed(warm)
@@ -664,7 +667,6 @@ class StudyResult:
 
     rows: list[dict]
     c_limit: float
-    limit_set: IntervalUnion
     err_c_monotone: bool
     err_u_monotone: bool
 
@@ -679,11 +681,11 @@ def convergence_study(
 
     The speed bracket for every width is [c_limit/BRACKET_FACTOR,
     c_limit*BRACKET_FACTOR], and each minimization stops at the gradient
-    norm SPEED_GRAD_TOL or after ``max_iter`` (default SPEED_MAX_ITER)
+    norm MINIMIZE_GRAD_TOL or after ``max_iter`` (default SPEED_MAX_ITER)
     iterations.  Error columns are flagged monotone when they decrease
     weakly down the ladder (widths sorted descending).
 
-    The default budget per minimization is far below minimize_energy's cap:
+    The default budget per minimization is far below MINIMIZE_MAX_ITER:
     the speed Newton needs only the value and slope, whose errors are second
     and first order in the distance from the minimizer.  But ``err_u_l2e``
     and ``flag`` reflect it: at the default, every pulse row reads ``maxiter``.
@@ -722,7 +724,7 @@ def convergence_study(
         return all(b <= a + 1e-12 for a, b in zip(vals[:-1], vals[1:]))
 
     return StudyResult(
-        rows=rows, c_limit=c_limit, limit_set=e,
+        rows=rows, c_limit=c_limit,
         err_c_monotone=weakly_decreasing("err_c"),
         err_u_monotone=weakly_decreasing("err_u_l2e"),
     )

@@ -236,7 +236,7 @@ class IntervalUnion:
         """Parse a JSON list of [a, b] pairs of numbers; a may be "-inf"."""
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past 4,300 digits
             raise InvalidParameterError(f"interval union is not JSON: {exc}") from None
 
         def number(v) -> bool:

@@ -12,6 +12,7 @@ import pytest
 from fhn_gamma import cli, wave_speeds
 from fhn_gamma.cli import _emit_csv, run
 from fhn_gamma.epsilon_solver import (
+    STUDY_COLUMNS,
     DiscreteEnergy,
     build_recovery,
     convergence_study,
@@ -21,6 +22,7 @@ from fhn_gamma.epsilon_solver import (
 )
 from fhn_gamma.errors import BracketError
 from fhn_gamma.model import Params
+from fhn_gamma.nonlocal_operator import InhibitorOperator
 from fhn_gamma.wave_speeds import front_speed, pulse_speed
 from fhn_gamma.weighted_space import Grid, SampledFunction, l2e_norm
 
@@ -119,23 +121,69 @@ def test_limit_energy_csv_deterministic(tmp_path):
     assert float(first[0]) == 0.1
 
 
-def test_lc_apply_round_trip(tmp_path):
+def _step_csv(tmp_path):
+    """An x,value CSV of the indicator of [-1, 0] on Grid(-12, 4, 1601)."""
     grid = Grid(-12.0, 4.0, 1601)
-    chi = np.where((grid.x > -1.0) & (grid.x < 0.0), 1.0, 0.0)
     src = tmp_path / "chi.csv"
-    _emit_csv(("x", "value"), zip(grid.x, chi), src)
+    _emit_csv(("x", "value"),
+              zip(grid.x, np.where((grid.x > -1.0) & (grid.x < 0.0), 1.0, 0.0)),
+              src)
+    return src
+
+
+def test_lc_apply_round_trip(tmp_path):
     dst = tmp_path / "resp.csv"
-    code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
-                "--c", "1.0", "--input", str(src), "--output", str(dst)])
+    code = run(["lc-apply", "--gamma", "1", "--c", "1.0",
+                "--input", str(_step_csv(tmp_path)), "--output", str(dst)])
     assert code == 0
     back = SampledFunction.from_csv(dst)
     assert back.values.max() > 0.1
     assert back.values.min() > -1e-10
 
 
+def test_lc_apply_writes_what_it_wrote_with_alpha_and_sigma(tmp_path):
+    # the response as the command formed it when it also took --alpha 2
+    # --sigma 1: gamma read through Params, the same solve and CSV writer
+    src = _step_csv(tmp_path)
+    f = SampledFunction.from_csv(src)
+    gamma = Params(2.0, 1.0, 1.0).gamma
+    expected = tmp_path / "expected.csv"
+    _emit_csv(("x", "value"),
+              zip(f.grid.x, InhibitorOperator(f.grid, 1.0, gamma).solve(f.values)),
+              expected)
+    out = tmp_path / "resp.csv"
+    assert run(["lc-apply", "--gamma", "1", "--c", "1.0",
+                "--input", str(src), "--output", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--sigma"])
+def test_lc_apply_takes_no_alpha_or_sigma(flag, tmp_path, capsys):
+    # the inhibitor operator depends on c and gamma alone
+    with pytest.raises(SystemExit) as exc:
+        run(["lc-apply", flag, "2", "--gamma", "1", "--c", "1.0",
+             "--input", str(_step_csv(tmp_path))])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rates", [
+    ["--gamma", "0", "--c", "1.0"], ["--gamma", "-1", "--c", "1.0"],
+    ["--gamma", "nan", "--c", "1.0"], ["--gamma", "1", "--c", "0"],
+    ["--gamma", "1", "--c", "-1"], ["--gamma", "1", "--c", "nan"],
+], ids=["gamma_zero", "gamma_negative", "gamma_nan", "c_zero", "c_negative",
+        "c_nan"])
+def test_lc_apply_rate_not_positive_is_invalid_input(rates, tmp_path, capsys):
+    code = run(["lc-apply", *rates, "--input", str(_step_csv(tmp_path))])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_lc_apply_missing_file_is_io_error(tmp_path):
-    code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
-                "--c", "1.0", "--input", str(tmp_path / "nope.csv")])
+    code = run(["lc-apply", "--gamma", "1", "--c", "1.0",
+                "--input", str(tmp_path / "nope.csv")])
     assert code == 4
 
 
@@ -144,8 +192,7 @@ def test_lc_apply_grid_too_long_is_invalid_input(tmp_path, capsys):
     grid = Grid(-2990.0, 10.0, 12001)
     src = tmp_path / "long.csv"
     _emit_csv(("x", "value"), zip(grid.x, np.where(grid.x < 0.0, 1.0, 0.0)), src)
-    code = run(["lc-apply", "--alpha", "2", "--gamma", "1", "--sigma", "1",
-                "--c", "1.0", "--input", str(src)])
+    code = run(["lc-apply", "--gamma", "1", "--c", "1.0", "--input", str(src)])
     assert code == 2
     assert "too long" in capsys.readouterr().err
 
@@ -332,13 +379,23 @@ def test_recovery_in_neither_regime_needs_a_set(capsys):
     assert "neither" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, solver", [
-    ("speed-eps", speed_eps), ("study", convergence_study)])
-def test_speed_solve_budget_is_the_library_default(command, solver):
-    # one budget per speed-solve minimization, in the CLI as in the library
-    cli_default = cli._COMMANDS[command][1]["max_iter"][1]
-    assert cli_default == inspect.signature(solver).parameters[
-        "max_iter"].default
+@pytest.mark.parametrize("command, solver, keys", [
+    ("speed-eps", speed_eps, {"max_iter"}),
+    ("study", convergence_study, {"max_iter"}),
+    ("minimize", minimize_energy, {"max_iter", "tol"}),
+], ids=["speed-eps-speed_eps", "study-convergence_study",
+        "minimize-minimize_energy"])
+def test_speed_solve_budget_is_the_library_default(command, solver, keys):
+    # every option the solver also defaults takes the library's default: the
+    # same object, so a literal copy of it in the option table fails too
+    table = cli._COMMANDS[command][1]
+    defaults = {name: param.default for name, param
+                in inspect.signature(solver).parameters.items()
+                if param.default is not inspect.Parameter.empty}
+    assert table.keys() & defaults.keys() == keys
+    for key in keys:
+        assert table[key][1] == defaults[key], key
+        assert table[key][1] is defaults[key], key
 
 
 def test_bad_range_syntax(capsys):
@@ -399,6 +456,18 @@ def test_speed_eps_short_budget_reports_nonconvergence(
     assert summary["iterations"] == 20 * summary["minimizations"]
 
 
+def test_study_short_budget_reports_nonconvergence(capsys):
+    # the one row is written, as the library computes it, and then exit 3
+    code = run(["study", *_PULSE_ARGS, "--eps-list", "0.04", "--max-iter", "1"])
+    assert code == 3
+    out = capsys.readouterr().out
+    row = convergence_study([0.04], Params(2.0, 1.0, 1.0), max_iter=1).rows[0]
+    assert row["flag"] == "maxiter"
+    assert out == ",".join(STUDY_COLUMNS) + "\n" + ",".join(
+        repr(v) if isinstance(v, float) else str(v)
+        for v in (row[k] for k in STUDY_COLUMNS)) + "\n"
+
+
 def test_speed_eps_certifies_the_right_end(capsys, minimized_speeds):
     code = run(["speed-eps", "--alpha", "2", "--gamma", "1", "--sigma", "1",
                 "--epsilon", "0.04", "--c-lo", "2.1169", "--c-hi", "2.5614",
@@ -451,12 +520,13 @@ def test_malformed_set_is_invalid_input(union, capsys):
 def test_short_profile_csv_is_invalid_input(text, tmp_path, capsys):
     src = tmp_path / "short.csv"
     src.write_text(text)
-    argv = ["lc-apply", *_PULSE_ARGS, "--c", "1.0", "--input", str(src)]
+    argv = ["lc-apply", "--gamma", "1", "--c", "1.0", "--input", str(src)]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("alpha", [None, [2]])
+@pytest.mark.parametrize("alpha", [None, [2], 10**400],
+                         ids=["None", "alpha1", "int_beyond_float"])
 def test_config_value_of_wrong_type_is_invalid_input(alpha, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"alpha": alpha, "gamma": 1, "sigma": 1}))
@@ -505,6 +575,9 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
      "--ell-grid", "1:2:1" + "0" * 400],
     ["recovery", *_PULSE_ARGS, "--epsilon", "0.04",
      "--set", "[[0, 1" + "0" * 400 + "]]"],
+    # an integer past the digits Python converts from a string
+    ["recovery", *_PULSE_ARGS, "--epsilon", "0.04",
+     "--set", "[[0, 1" + "0" * 5000 + "]]"],
     # the solver grid's cell count 44 / (eps / 8) overflows to inf
     ["recovery", "--alpha", "5", "--gamma", "1", "--sigma", "1",
      "--epsilon", "1e-310"],
@@ -530,6 +603,7 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
         "minimize_no_iterations", "negative_tol", "nan_tol",
         "speed_eps_no_iterations", "range_step_overflow",
         "range_count_overflow", "integer_endpoint_overflow",
+        "integer_endpoint_past_digit_limit",
         "recovery_tiny_eps", "study_tiny_eps", "recovery_eps_1e-20",
         "recovery_eps_1e-300", "recovery_eps_1e-7", "c_lo_nan",
         "c_lo_negative", "c_lo_inf", "c_hi_inf", "c_hi_nan"])
@@ -545,14 +619,16 @@ def test_out_of_range_input_is_invalid_input(argv, capsys):
     ("profile.csv", b"x,value\n0,a\n1,b\n2,c\n", "lc-apply"),
     ("run.json", b'{"alpha": 2,', "classify"),
     ("run.cfg", b"alpha = 2\n# \xff\xfe\n", "classify"),
-], ids=["non_numeric_csv", "malformed_json_config", "non_utf8_config"])
+    ("run.json", b'{"alpha": 1' + b"0" * 5000 + b"}", "classify"),
+], ids=["non_numeric_csv", "malformed_json_config", "non_utf8_config",
+        "json_config_int_past_digit_limit"])
 def test_malformed_content_is_invalid_input(name, content, command, tmp_path,
                                             capsys):
     # unreadable content is bad input (2), not an I/O failure (4)
     path = tmp_path / name
     path.write_bytes(content)
     if command == "lc-apply":
-        argv = ["lc-apply", *_PULSE_ARGS, "--c", "1.0", "--input", str(path)]
+        argv = ["lc-apply", "--gamma", "1", "--c", "1.0", "--input", str(path)]
     else:
         argv = ["classify", "--config", str(path)]
     assert run(argv) == 2
