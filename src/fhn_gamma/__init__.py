@@ -15,7 +15,6 @@ from .epsilon_solver import (
     RecoveryProfile,
     SpeedResult,
     SpeedStep,
-    StudyResult,
     build_recovery,
     convergence_study,
     minimize_energy,
@@ -77,10 +76,10 @@ __all__ = [
     "LimitEnergyBreakdown", "MinimizeResult", "NonConvergenceError",
     "Params", "PulseResult", "RecoveryProfile", "Regime", "RegimeError",
     "RegimeTag", "SampledFunction", "SpeedResult", "SpeedStep",
-    "StudyResult", "WidthCondition", "build_recovery", "char_roots",
-    "classify", "convergence_study", "front_speed", "gamma_star",
-    "gamma_star_limit", "interval_energy", "lc_indicator", "limit_speed",
-    "minimize_energy", "optimal_width", "pulse_speed", "recovery_profile",
+    "WidthCondition", "build_recovery", "char_roots", "classify",
+    "convergence_study", "front_speed", "gamma_star", "gamma_star_limit",
+    "interval_energy", "lc_indicator", "limit_speed", "minimize_energy",
+    "optimal_width", "pulse_speed", "recovery_profile",
     "sharp_interface_energy", "shift", "solver_grid", "speed_eps",
     "total_variation_e", "width_condition",
 ]

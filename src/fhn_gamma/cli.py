@@ -11,13 +11,13 @@ set; minimize and speed-eps print a JSON summary and write their final
 profile CSV to --output.  A value with a library default (an iteration cap,
 a tolerance) takes that default from the library.
 
-Exit codes: 0 success, 2 invalid parameters or wrong regime, 3 solver
-non-convergence (minimize, speed-eps, and study once any row is flagged
-maxiter), 4 I/O failure.  Tables are written row by row, in memory that
-does not grow with their length: a failure at the first row writes nothing,
-a later one leaves the rows before it and sets the exit code, and a closed
-stdout exits 4.  study is the exception: it solves every width before it
-writes its first row, so a failure at any width writes nothing.
+Exit codes: 0 success, 2 invalid parameters (a reversed speed-eps bracket
+among them) or wrong regime, 3 solver non-convergence (minimize, speed-eps,
+and study once any row is flagged maxiter), 4 I/O failure.  Tables are
+written row by row as they are solved, in memory that does not grow with
+their length: a failure at the first row writes nothing, a later one
+leaves the rows before it and sets the exit code (study --eps-list
+0.04,1e-310 writes the 0.04 row, then exits 2), and a closed stdout exits 4.
 """
 
 from __future__ import annotations
@@ -355,26 +355,30 @@ def _cmd_speed_eps(opts):
 
 
 def _cmd_study(opts):
-    p = _params(opts)
-    result = convergence_study(_parse_eps_list(opts["eps_list"]), p,
-                               max_iter=opts["max_iter"])
-    rows = ([row[k] for k in STUDY_COLUMNS] for row in result.rows)
-    _emit_csv(STUDY_COLUMNS, rows, opts["output"])
+    rows = convergence_study(_parse_eps_list(opts["eps_list"]), _params(opts),
+                             max_iter=opts["max_iter"])
     if opts["svg"]:
-        eps = [row["eps"] for row in result.rows]
+        rows = list(rows)  # the plot needs the points
+    flags = set()
+
+    def table():
+        for row in rows:
+            flags.add(row["flag"])
+            yield [row[k] for k in STUDY_COLUMNS]
+
+    _emit_csv(STUDY_COLUMNS, table(), opts["output"])
+    if opts["svg"]:
+        eps = [row["eps"] for row in rows]
         svg.line_plot(
             opts["svg"],
             [
-                ("speed error", eps, [row["err_c"] for row in result.rows]),
-                ("profile error", eps,
-                 [row["err_u_l2e"] for row in result.rows]),
+                ("speed error", eps, [row["err_c"] for row in rows]),
+                ("profile error", eps, [row["err_u_l2e"] for row in rows]),
             ],
             title="convergence to the sharp-interface limit",
             xlabel="eps", ylabel="error",
         )
-    if any(row["flag"] == "maxiter" for row in result.rows):
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    return EXIT_NONCONVERGENCE if "maxiter" in flags else EXIT_OK
 
 
 def _sweep_point(alpha, gamma, sigma):

@@ -15,6 +15,7 @@ the zero-crossing speed approaches the limit front or pulse speed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -586,13 +587,15 @@ def speed_eps(
 
     The minimum energy m(c) decreases strictly in the speed, and by the
     envelope identity its slope is the energy's speed derivative at the
-    minimizer, dm/dc = dE/dc(w*, c).  The bracket ends must be finite
-    positive speeds (else invalid input, before any minimization) and
-    straddle a sign change.  After the minimization at c_lo, the minimizer's
-    energy at c_hi is evaluated: every admissible profile's energy bounds
-    m(c_hi) from above, so if m(c_lo) > 0 and that energy is negative the
-    bracket is proven and c_hi is not minimized (a ``certified`` step);
-    otherwise c_hi is minimized too.  Safeguarded Newton
+    minimizer, dm/dc = dE/dc(w*, c).  The bracket needs 0 < c_lo < c_hi <
+    inf (else invalid input, before any minimization) and must straddle a
+    sign change.  Every admissible profile's energy bounds m from above, so
+    a minimum at c_lo that is not positive ends the solve there with
+    ``BracketError``: m decreases in c, so no root lies in the bracket.
+    Otherwise the c_lo minimizer's energy at c_hi is evaluated: if it is
+    negative the bracket is proven and c_hi is not minimized (a
+    ``certified`` step); otherwise c_hi is minimized too, and a minimum
+    there that is not negative is a ``BracketError``.  Safeguarded Newton
     (``wave_speeds._newton_root``) then starts from c_lo, where m is
     positive.  On the pulse, m is convex there, so exact Newton steps
     approach the root from below; a step that the capped minimizations carry
@@ -606,11 +609,10 @@ def speed_eps(
     Each speed's inhibitor matrix is factored once: an uncertified c_hi is
     minimized with the energy built for its certificate.
     """
-    if not (0.0 < c_lo < math.inf and 0.0 < c_hi < math.inf):
+    if not 0.0 < c_lo < c_hi < math.inf:
         raise InvalidParameterError(
-            f"bracket ends must be finite positive speeds: [{c_lo}, {c_hi}]")
-    if not c_lo < c_hi:
-        raise BracketError(f"need c_lo < c_hi, got [{c_lo}, {c_hi}]")
+            f"bracket ends must be finite positive speeds with c_lo < c_hi: "
+            f"[{c_lo}, {c_hi}]")
 
     warm = np.asarray(init, dtype=float)
     steps = []
@@ -635,16 +637,21 @@ def speed_eps(
                                False, certified=True))
         return bound
 
+    no_sign_change = (f"no sign change of the minimum energy on "
+                      f"[{c_lo}, {c_hi}]: ")
     f_lo = minimum(DiscreteEnergy(grid, c_lo, p))
+    if not f_lo[0] > 0.0:
+        raise BracketError(
+            no_sign_change + f"m({c_lo})={f_lo[0]} is not positive, and m "
+            f"decreases in c"
+        )
     hi = DiscreteEnergy(grid, c_hi, p)
-    m_hi = certify(hi) if f_lo[0] > 0.0 else None
+    m_hi = certify(hi)
     if m_hi is None:
         m_hi = minimum(hi)[0]
-    if not f_lo[0] > 0.0 > m_hi:
+    if not m_hi < 0.0:
         raise BracketError(
-            f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
-            f"m({c_lo})={f_lo[0]}, m({c_hi})={m_hi}"
-        )
+            no_sign_change + f"m({c_lo})={f_lo[0]}, m({c_hi})={m_hi}")
     c_eps, res = _newton_root(lambda c: minimum(DiscreteEnergy(grid, c, p)),
                               c_lo, c_hi, c_lo, f_lo, xtol=SPEED_BRACKET_TOL)
     return SpeedResult(
@@ -661,29 +668,21 @@ STUDY_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    """Convergence table toward the sharp-interface predictions."""
-
-    rows: list[dict]
-    c_limit: float
-    err_c_monotone: bool
-    err_u_monotone: bool
-
-
 def convergence_study(
     eps_list,
     p: Params,
     max_iter: int = SPEED_MAX_ITER,
-) -> StudyResult:
+) -> Iterator[dict]:
     """Solve the finite-width speed problem along a ladder of interface
-    widths and tabulate the errors against the limit speed and limit set.
+    widths, yielding each width's row of errors against the limit speed and
+    limit set as soon as its speed solve returns.
 
-    The speed bracket for every width is [c_limit/BRACKET_FACTOR,
-    c_limit*BRACKET_FACTOR], and each minimization stops at the gradient
-    norm MINIMIZE_GRAD_TOL or after ``max_iter`` (default SPEED_MAX_ITER)
-    iterations.  Error columns are flagged monotone when they decrease
-    weakly down the ladder (widths sorted descending).
+    Widths run in descending order.  The speed bracket for every width is
+    [c_limit/BRACKET_FACTOR, c_limit*BRACKET_FACTOR], and each minimization
+    stops at the gradient norm MINIMIZE_GRAD_TOL or after ``max_iter``
+    (default SPEED_MAX_ITER) iterations.  A row is a dict keyed by
+    STUDY_COLUMNS.  A width that fails raises when the generator reaches
+    it, after the rows before it were yielded.
 
     The default budget per minimization is far below MINIMIZE_MAX_ITER:
     the speed Newton needs only the value and slope, whose errors are second
@@ -694,7 +693,6 @@ def convergence_study(
     c_limit = limit.to_dict()["c"]
     e = limit.limit_set
 
-    rows = []
     for eps in sorted(eps_list, reverse=True):
         pe = Params(p.alpha, p.gamma, p.sigma, eps)
         grid = solver_grid(e, eps)
@@ -705,7 +703,7 @@ def convergence_study(
         )
         err_u = l2e_norm(grid, result.profile.values - e.indicator(grid).values)
         r = result.report
-        rows.append({
+        yield {
             "eps": eps,
             "c_eps": result.c_eps,
             "err_c": abs(result.c_eps - c_limit),
@@ -717,14 +715,4 @@ def convergence_study(
             "total": r.total,
             "iters": result.iterations,
             "flag": "ok" if result.converged else "maxiter",
-        })
-
-    def weakly_decreasing(key):
-        vals = [row[key] for row in rows]
-        return all(b <= a + 1e-12 for a, b in zip(vals[:-1], vals[1:]))
-
-    return StudyResult(
-        rows=rows, c_limit=c_limit,
-        err_c_monotone=weakly_decreasing("err_c"),
-        err_u_monotone=weakly_decreasing("err_u_l2e"),
-    )
+        }

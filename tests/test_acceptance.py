@@ -271,33 +271,41 @@ def test_criterion_6_weighted_space_laws():
     assert ok
 
 
+def _weakly_decreasing(values) -> bool:
+    """Each value at most its predecessor, with 1e-12 slack."""
+    return all(b <= a + 1e-12 for a, b in zip(values[:-1], values[1:]))
+
+
 @pytest.mark.slow
 def test_criterion_7_desk_scale_convergence():
     t0 = time.time()
     ladder = [0.04, 0.02, 0.01]
 
     pulse_detail, pulse_ok = "", False
+    c_p = pulse_speed(PULSE).c_p
     try:
-        st = convergence_study(ladder, PULSE)
-        errs_c = [row["err_c"] for row in st.rows]
-        errs_u = [row["err_u_l2e"] for row in st.rows]
-        pulse_ok = (st.err_c_monotone and st.err_u_monotone
-                    and errs_c[-1] < 0.1 * st.c_limit)
+        rows = list(convergence_study(ladder, PULSE))
+        errs_c = [row["err_c"] for row in rows]
+        errs_u = [row["err_u_l2e"] for row in rows]
+        pulse_ok = (_weakly_decreasing(errs_c) and _weakly_decreasing(errs_u)
+                    and errs_c[-1] < 0.1 * c_p)
         pulse_detail = (f"pulse err_c={[f'{e:.4f}' for e in errs_c]}, "
                         f"err_u={[f'{e:.4f}' for e in errs_u]}, "
                         f"final err_c/c_p="
-                        f"{errs_c[-1] / st.c_limit:.4f}")
+                        f"{errs_c[-1] / c_p:.4f}")
     except BracketError as exc:
         pulse_detail = f"pulse study failed: {exc}"
 
     front_detail, front_ok = "", False
+    c_f = front_speed(FRONT).c_f
     try:
-        st = convergence_study(ladder, FRONT)
-        errs_c = [row["err_c"] for row in st.rows]
-        front_ok = (st.err_c_monotone and st.err_u_monotone
-                    and errs_c[-1] < 0.1 * st.c_limit)
+        rows = list(convergence_study(ladder, FRONT))
+        errs_c = [row["err_c"] for row in rows]
+        errs_u = [row["err_u_l2e"] for row in rows]
+        front_ok = (_weakly_decreasing(errs_c) and _weakly_decreasing(errs_u)
+                    and errs_c[-1] < 0.1 * c_f)
         front_detail = (f"front err_c={[f'{e:.4f}' for e in errs_c]}, "
-                        f"final err_c/c_f={errs_c[-1] / st.c_limit:.4f}")
+                        f"final err_c/c_f={errs_c[-1] / c_f:.4f}")
     except BracketError as exc:
         # at eps = 0.04 and 0.02 the constrained minimum at front
         # parameters is negative at every positive speed: at zero speed it

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhn_gamma import cli, wave_speeds
+from fhn_gamma import cli, epsilon_solver, wave_speeds
 from fhn_gamma.cli import _emit_csv, run
 from fhn_gamma.epsilon_solver import (
     STUDY_COLUMNS,
@@ -456,16 +456,62 @@ def test_speed_eps_short_budget_reports_nonconvergence(
     assert summary["iterations"] == 20 * summary["minimizations"]
 
 
+def _study_csv(rows) -> str:
+    """The study table the CLI writes for these library rows."""
+    return "".join(",".join(
+        repr(v) if isinstance(v, float) else str(v) for v in line) + "\n"
+        for line in [STUDY_COLUMNS, *([row[k] for k in STUDY_COLUMNS]
+                                      for row in rows)])
+
+
 def test_study_short_budget_reports_nonconvergence(capsys):
     # the one row is written, as the library computes it, and then exit 3
     code = run(["study", *_PULSE_ARGS, "--eps-list", "0.04", "--max-iter", "1"])
     assert code == 3
     out = capsys.readouterr().out
-    row = convergence_study([0.04], Params(2.0, 1.0, 1.0), max_iter=1).rows[0]
+    [row] = convergence_study([0.04], Params(2.0, 1.0, 1.0), max_iter=1)
     assert row["flag"] == "maxiter"
-    assert out == ",".join(STUDY_COLUMNS) + "\n" + ",".join(
-        repr(v) if isinstance(v, float) else str(v)
-        for v in (row[k] for k in STUDY_COLUMNS)) + "\n"
+    assert out == _study_csv([row])
+
+
+def test_study_writes_each_width_before_a_later_one_fails(capsys):
+    # the widths run 0.04 first: its row is written, then 1e-310 refuses
+    # its solver grid and the run exits 2
+    code = run(["study", *_PULSE_ARGS, "--eps-list", "0.04,1e-310",
+                "--max-iter", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    [row] = convergence_study([0.04], Params(2.0, 1.0, 1.0), max_iter=1)
+    assert captured.out == _study_csv([row])
+
+
+def test_study_yields_a_row_after_one_speed_solve(monkeypatch):
+    calls = []
+    solve = epsilon_solver.speed_eps
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].epsilon)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(epsilon_solver, "speed_eps", counting)
+    rows = convergence_study([0.01, 0.04, 0.02], Params(2.0, 1.0, 1.0),
+                             max_iter=1)
+    assert calls == []
+    assert next(rows)["eps"] == 0.04
+    assert calls == [0.04]
+
+
+def test_study_svg_keeps_the_table(tmp_path, capsys):
+    # the plot needs every row, so the table is written after the last
+    # width; its bytes and the exit code are those of a run without --svg
+    args = ["study", *_PULSE_ARGS, "--eps-list", "0.04", "--max-iter", "1"]
+    assert run(args) == 3
+    plain = capsys.readouterr().out
+    plot = tmp_path / "study.svg"
+    assert run([*args, "--svg", str(plot)]) == 3
+    assert capsys.readouterr().out == plain
+    assert plot.read_text().startswith("<svg")
 
 
 def test_speed_eps_certifies_the_right_end(capsys, minimized_speeds):
@@ -597,6 +643,8 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
     ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-lo", "inf"],
     ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-hi", "inf"],
     ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-hi", "nan"],
+    ["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04", "--c-lo", "3",
+     "--c-hi", "2"],
 ], ids=["speed_overflow", "speed_underflow", "c_lo_underflow",
         "right_end_overflow", "set_too_long_recovery", "set_too_long_minimize",
         "set_inf_cells_recovery", "set_inf_cells_minimize",
@@ -606,7 +654,8 @@ def test_config_non_integral_count_is_invalid_input(tmp_path, capsys):
         "integer_endpoint_past_digit_limit",
         "recovery_tiny_eps", "study_tiny_eps", "recovery_eps_1e-20",
         "recovery_eps_1e-300", "recovery_eps_1e-7", "c_lo_nan",
-        "c_lo_negative", "c_lo_inf", "c_hi_inf", "c_hi_nan"])
+        "c_lo_negative", "c_lo_inf", "c_hi_inf", "c_hi_nan",
+        "reversed_bracket"])
 def test_out_of_range_input_is_invalid_input(argv, capsys):
     # not a traceback, an I/O failure, a non-JSON summary or a run to the cap
     assert run(argv) == 2

@@ -364,10 +364,21 @@ def test_minimizer_thresholds_to_a_set_with_comparable_limit_energy():
     assert geo.total <= result.value + 0.1
 
 
-def test_speed_eps_degenerate_bracket():
+def _no_minimization(monkeypatch):
+    def no_minimization(*args, **kwargs):
+        raise AssertionError("minimized before checking the bracket ends")
+
+    monkeypatch.setattr(epsilon_solver, "minimize_energy", no_minimization)
+
+
+def test_speed_eps_degenerate_bracket(monkeypatch):
+    # an empty or reversed bracket is invalid input, refused before any
+    # minimization, as an end that is not a speed is
+    _no_minimization(monkeypatch)
     grid = small_grid(0.04)
-    with pytest.raises(BracketError):
-        speed_eps(FRONT, 1.0, 1.0, grid, np.zeros(grid.n))
+    for c_lo, c_hi in [(1.0, 1.0), (3.0, 2.0)]:
+        with pytest.raises(InvalidParameterError, match="c_lo < c_hi"):
+            speed_eps(FRONT, c_lo, c_hi, grid, np.zeros(grid.n))
 
 
 @pytest.mark.parametrize("c_lo, c_hi", [
@@ -377,10 +388,7 @@ def test_speed_eps_degenerate_bracket():
 def test_speed_eps_rejects_ends_that_are_not_speeds(c_lo, c_hi, monkeypatch):
     # checked before any minimization, and invalid input, not a bracket
     # failure
-    def no_minimization(*args, **kwargs):
-        raise AssertionError("minimized before checking the bracket ends")
-
-    monkeypatch.setattr(epsilon_solver, "minimize_energy", no_minimization)
+    _no_minimization(monkeypatch)
     grid = small_grid(0.04)
     with pytest.raises(InvalidParameterError, match="speed"):
         speed_eps(FRONT, c_lo, c_hi, grid, np.zeros(grid.n))
@@ -388,8 +396,8 @@ def test_speed_eps_rejects_ends_that_are_not_speeds(c_lo, c_hi, monkeypatch):
 
 def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):
     # at front parameters and eps = 0.04 the minimum energy is negative on
-    # the whole bracket: with m(c_lo) < 0 no certificate is tried, both
-    # ends are minimized, and the bracket error carries both minima
+    # the whole bracket: m(c_lo) < 0 already rules out a root, since m
+    # decreases in c, so the solve stops before it reaches c_hi
     eps = 0.04
     grid = solver_grid(HALF_LINE, eps)
     init = build_recovery(HALF_LINE, FRONT, grid)
@@ -406,12 +414,11 @@ def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):
     c_lo, c_hi = 0.5 * c_f, 2.0 * c_f
     with pytest.raises(BracketError) as info:
         speed_eps(FRONT, c_lo, c_hi, grid, init.w.values, max_iter=800)
-    assert [c for c, _ in minima] == [c_lo, c_hi]
-    (_, m_lo), (_, m_hi) = minima
-    assert m_hi < m_lo < 0.0
+    [(c, m_lo)] = minima
+    assert c == c_lo and m_lo < 0.0
     assert str(info.value) == (
         f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
-        f"m({c_lo})={m_lo}, m({c_hi})={m_hi}"
+        f"m({c_lo})={m_lo} is not positive, and m decreases in c"
     )
 
 
