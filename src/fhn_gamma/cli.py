@@ -11,13 +11,16 @@ set; minimize and speed-eps print a JSON summary and write their final
 profile CSV to --output.  A value with a library default (an iteration cap,
 a tolerance) takes that default from the library.
 
-Exit codes: 0 success, 2 invalid parameters (a reversed speed-eps bracket
-among them) or wrong regime, 3 solver non-convergence (minimize, speed-eps,
-and study once any row is flagged maxiter), 4 I/O failure.  Tables are
-written row by row as they are solved, in memory that does not grow with
-their length: a failure at the first row writes nothing, a later one
-leaves the rows before it and sets the exit code (study --eps-list
-0.04,1e-310 writes the 0.04 row, then exits 2), and a closed stdout exits 4.
+Exit codes: 0 success, 2 invalid parameters (a speed-eps bracket that is
+not 0 < c_lo < c_hi < inf among them, refused before any grid is built) or
+wrong regime, 3 solver non-convergence (minimize, speed-eps, and study once
+any row is flagged maxiter) or no sign change in a speed bracket (named as
+m_eps(0) <= 0 when no wave of positive speed exists), 4 I/O failure.
+Tables are written row by row as they are solved, in memory that does not
+grow with their length but for the columns that --svg plots after the last
+row: a failure at the first row writes nothing, a later one leaves the rows
+before it and sets the exit code (study --eps-list 0.04,1e-310 writes the
+0.04 row, then exits 2), and a closed stdout exits 4.
 """
 
 from __future__ import annotations
@@ -28,17 +31,18 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from functools import partial
 
 from . import svg
 from .epsilon_solver import (
-    BRACKET_FACTOR,
     MINIMIZE_GRAD_TOL,
     MINIMIZE_MAX_ITER,
     SPEED_MAX_ITER,
     STUDY_COLUMNS,
     DiscreteEnergy,
+    _speed_bracket,
     build_recovery,
     convergence_study,
     minimize_energy,
@@ -215,16 +219,33 @@ def _open_output(path):
             else open(path, "w", encoding="utf-8", newline=""))
 
 
-def _emit_csv(header, rows, path) -> None:
-    """Write a CSV table with ``repr`` floats, each row as ``rows`` yields
-    it.  The destination is opened once the first row exists, so an input
-    that the first row refuses leaves an existing file as it was."""
-    rows = iter(rows)
+def _emit_csv(header, rows, path, svg_path=None, series=(), **labels) -> None:
+    """Write a CSV table with ``repr`` floats to ``path`` (stdout when
+    None), each row as ``rows`` yields it, and then, given ``svg_path``, a
+    line plot with ``svg.line_plot``'s ``labels``: one line per (label, i,
+    j) in ``series``, through column j of the rows against column i.  Only
+    those columns are kept.  With ``series``, a row's columns past the
+    header are plotted but not written.  The destination is opened once the
+    first row exists, so an input that the first row refuses leaves an
+    existing file as it was."""
+    width = len(header)
+    columns = {k: [] for _, *ks in series for k in ks} if svg_path else {}
+
+    def kept(rows):
+        for row in rows:
+            for k, column in columns.items():
+                column.append(row[k])
+            yield row[:width]
+
+    rows = iter(kept(rows) if series else rows)
     first = list(itertools.islice(rows, 1))
     with _open_output(path) as fh:
         csv.writer(fh, lineterminator="\n").writerows(
             [repr(float(v)) if isinstance(v, float) else v for v in row]
             for row in itertools.chain([header], first, rows))
+    if svg_path:
+        svg.line_plot(svg_path, [(label, columns[i], columns[j])
+                                 for label, i, j in series], **labels)
 
 
 def _cmd_classify(opts):
@@ -246,30 +267,20 @@ def _cmd_limit_energy(opts):
     ells = _range_values(*_parse_range(opts["ell_grid"]))
     roots = char_roots(c, p.gamma)
     rows = ((ell, *interval_energy(ell, roots, p)) for ell in ells)
-    if opts["svg"]:
-        rows = list(rows)  # the plot needs the points
-    _emit_csv(("ell", "J", "dJ_dl", "dJ_dl2", "dJ_dc"), rows, opts["output"])
-    if opts["svg"]:
-        svg.line_plot(
-            opts["svg"],
-            [("energy", [r[0] for r in rows], [r[1] for r in rows])],
-            title=f"interval energy at c={c}",
-            xlabel="width", ylabel="energy",
-        )
+    _emit_csv(("ell", "J", "dJ_dl", "dJ_dl2", "dJ_dc"), rows, opts["output"],
+              opts["svg"], [("energy", 0, 1)], title=f"interval energy at c={c}",
+              xlabel="width", ylabel="energy")
     return EXIT_OK
 
 
 def _cmd_lc_apply(opts):
     f = SampledFunction.from_csv(opts["input"])
     v = InhibitorOperator(f.grid, opts["c"], opts["gamma"]).solve(f.values)
-    _emit_csv(("x", "value"), zip(f.grid.x, v), opts["output"])
-    if opts["svg"]:
-        svg.line_plot(
-            opts["svg"],
-            [("input", f.grid.x, f.values), ("response", f.grid.x, v)],
-            title=f"inhibitor response at c={opts['c']}",
-            xlabel="x", ylabel="value",
-        )
+    # the input, column 2, is plotted and not written
+    _emit_csv(("x", "value"), zip(f.grid.x, v, f.values), opts["output"],
+              opts["svg"], [("input", 0, 2), ("response", 0, 1)],
+              title=f"inhibitor response at c={opts['c']}",
+              xlabel="x", ylabel="value")
     return EXIT_OK
 
 
@@ -284,13 +295,9 @@ def _cmd_recovery(opts):
     e = _start_set(opts, p)
     grid = solver_grid(e, p.epsilon)
     profile = build_recovery(e, p, grid)
-    _emit_csv(("x", "value"), zip(grid.x, profile.w.values), opts["output"])
-    if opts["svg"]:
-        svg.line_plot(
-            opts["svg"], [("profile", grid.x, profile.w.values)],
-            title=f"recovery profile, eps={p.epsilon}",
-            xlabel="x", ylabel="w",
-        )
+    _emit_csv(("x", "value"), zip(grid.x, profile.w.values), opts["output"],
+              opts["svg"], [("profile", 0, 1)],
+              title=f"recovery profile, eps={p.epsilon}", xlabel="x", ylabel="w")
     return EXIT_OK
 
 
@@ -317,23 +324,20 @@ def _cmd_minimize(opts):
         },
     }
     print(json.dumps(summary, indent=2))
-    if opts["output"]:
-        _emit_csv(("x", "value"), zip(grid.x, result.profile.values), opts["output"])
-    if opts["svg"]:
-        svg.line_plot(
-            opts["svg"], [("minimizer", grid.x, result.profile.values)],
-            title=f"minimizer, eps={p.epsilon}, c={opts['c']}",
-            xlabel="x", ylabel="w",
-        )
+    if opts["output"] or opts["svg"]:
+        # stdout holds the summary: the profile goes to --output or nowhere
+        _emit_csv(("x", "value"), zip(grid.x, result.profile.values),
+                  opts["output"] or os.devnull, opts["svg"], [("minimizer", 0, 1)],
+                  title=f"minimizer, eps={p.epsilon}, c={opts['c']}",
+                  xlabel="x", ylabel="w")
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
 def _cmd_speed_eps(opts):
     p = _params(opts)
     limit = limit_speed(p)
-    c_limit = limit.to_dict()["c"]
-    c_lo = opts["c_lo"] if opts["c_lo"] is not None else c_limit / BRACKET_FACTOR
-    c_hi = opts["c_hi"] if opts["c_hi"] is not None else c_limit * BRACKET_FACTOR
+    # refused here, before the solver grid and the recovery are built
+    c_lo, c_hi, c_limit = _speed_bracket(opts["c_lo"], opts["c_hi"], limit)
     e = limit.limit_set
     grid = solver_grid(e, p.epsilon)
     init = build_recovery(e, p, grid)
@@ -357,8 +361,6 @@ def _cmd_speed_eps(opts):
 def _cmd_study(opts):
     rows = convergence_study(_parse_eps_list(opts["eps_list"]), _params(opts),
                              max_iter=opts["max_iter"])
-    if opts["svg"]:
-        rows = list(rows)  # the plot needs the points
     flags = set()
 
     def table():
@@ -366,18 +368,11 @@ def _cmd_study(opts):
             flags.add(row["flag"])
             yield [row[k] for k in STUDY_COLUMNS]
 
-    _emit_csv(STUDY_COLUMNS, table(), opts["output"])
-    if opts["svg"]:
-        eps = [row["eps"] for row in rows]
-        svg.line_plot(
-            opts["svg"],
-            [
-                ("speed error", eps, [row["err_c"] for row in rows]),
-                ("profile error", eps, [row["err_u_l2e"] for row in rows]),
-            ],
-            title="convergence to the sharp-interface limit",
-            xlabel="eps", ylabel="error",
-        )
+    # columns 0, 2 and 3: eps, err_c and err_u_l2e
+    _emit_csv(STUDY_COLUMNS, table(), opts["output"], opts["svg"],
+              [("speed error", 0, 2), ("profile error", 0, 3)],
+              title="convergence to the sharp-interface limit",
+              xlabel="eps", ylabel="error")
     return EXIT_NONCONVERGENCE if "maxiter" in flags else EXIT_OK
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ RECOVERY_NODES = 20001
 RECOVERY_QUAD_NODES = 400001
 #: the recovery integral runs over this many quadrature intervals at a time
 RECOVERY_CHUNK = 8192
-#: speed bracket of convergence_study and the default of fhn-gamma speed-eps:
+#: default speed bracket, of convergence_study and fhn-gamma speed-eps:
 #: [c_limit / BRACKET_FACTOR, c_limit * BRACKET_FACTOR]
 BRACKET_FACTOR = 2.0
 
@@ -287,6 +288,21 @@ def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile
     )
 
 
+class _LocalInhibitor(NamedTuple):
+    """The inhibitor solve at c = 0, where the equation is local: v = f /
+    gamma, its own adjoint, with dv/dc = 0."""
+
+    gamma: float
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        return f / self.gamma
+
+    solve_transpose = solve
+
+    def d_speed(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.zeros_like(f)
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Energy split into gradient, double-well, tilt and nonlocal parts."""
@@ -307,7 +323,9 @@ class DiscreteEnergy:
     Quadrature is ``Grid.quadrature``, trapezoid against e^x dx; the
     gradient term takes the weight at the midpoints (``weight_mid``, read
     nowhere else); the nonlocal part pairs the profile with its
-    finite-difference inhibitor response.  Immutable and thread-safe.
+    finite-difference inhibitor response, which at c = 0 is w / gamma, so
+    the nonlocal part of a unit-norm profile is sigma / (2 gamma) there.
+    Immutable and thread-safe.
     """
 
     def __init__(self, grid: Grid, c: float, p: Params):
@@ -315,7 +333,8 @@ class DiscreteEnergy:
         self.grid = grid
         self.c = c
         self.p = p
-        self.op = InhibitorOperator(grid, c, p.gamma)
+        self.op = (InhibitorOperator(grid, c, p.gamma) if c
+                   else _LocalInhibitor(p.gamma))
         self.weight_mid = np.exp(0.5 * (grid.x[1:] + grid.x[:-1]))
         self.box = profile_box(p)
 
@@ -575,6 +594,23 @@ class SpeedResult:
     steps: tuple[SpeedStep, ...]
 
 
+def _speed_bracket(c_lo, c_hi, limit=None):
+    """The bracket (c_lo, c_hi) of a speed solve and the speed c_limit of
+    ``limit``, a front or pulse result (None when it is not given).  An end
+    given as None is c_limit / BRACKET_FACTOR or c_limit * BRACKET_FACTOR.
+    Raises ``InvalidParameterError`` unless 0 < c_lo < c_hi < inf."""
+    c_limit = None if limit is None else limit.to_dict()["c"]
+    if c_lo is None:
+        c_lo = c_limit / BRACKET_FACTOR
+    if c_hi is None:
+        c_hi = c_limit * BRACKET_FACTOR
+    if not 0.0 < c_lo < c_hi < math.inf:
+        raise InvalidParameterError(
+            f"bracket ends must be finite positive speeds with c_lo < c_hi: "
+            f"[{c_lo}, {c_hi}]")
+    return c_lo, c_hi, c_limit
+
+
 def speed_eps(
     p: Params,
     c_lo: float,
@@ -592,6 +628,9 @@ def speed_eps(
     sign change.  Every admissible profile's energy bounds m from above, so
     a minimum at c_lo that is not positive ends the solve there with
     ``BracketError``: m decreases in c, so no root lies in the bracket.
+    The zero-speed energy, whose inhibitor is local, is then minimized from
+    the c_lo minimizer, and if that bound on m(0) is not positive either,
+    the error says that no wave of positive speed exists at this width.
     Otherwise the c_lo minimizer's energy at c_hi is evaluated: if it is
     negative the bracket is proven and c_hi is not minimized (a
     ``certified`` step); otherwise c_hi is minimized too, and a minimum
@@ -609,11 +648,7 @@ def speed_eps(
     Each speed's inhibitor matrix is factored once: an uncertified c_hi is
     minimized with the energy built for its certificate.
     """
-    if not 0.0 < c_lo < c_hi < math.inf:
-        raise InvalidParameterError(
-            f"bracket ends must be finite positive speeds with c_lo < c_hi: "
-            f"[{c_lo}, {c_hi}]")
-
+    _speed_bracket(c_lo, c_hi)
     warm = np.asarray(init, dtype=float)
     steps = []
 
@@ -641,6 +676,12 @@ def speed_eps(
                       f"[{c_lo}, {c_hi}]: ")
     f_lo = minimum(DiscreteEnergy(grid, c_lo, p))
     if not f_lo[0] > 0.0:
+        m_0 = minimize_energy(DiscreteEnergy(grid, 0.0, p), warm,
+                              tol=MINIMIZE_GRAD_TOL, max_iter=max_iter).value
+        if not m_0 > 0.0:
+            raise BracketError(
+                f"no wave of positive speed at ε = {p.epsilon}: m_ε(0) = "
+                f"{m_0} is not positive, and m decreases in c")
         raise BracketError(
             no_sign_change + f"m({c_lo})={f_lo[0]} is not positive, and m "
             f"decreases in c"
@@ -678,7 +719,8 @@ def convergence_study(
     limit set as soon as its speed solve returns.
 
     Widths run in descending order.  The speed bracket for every width is
-    [c_limit/BRACKET_FACTOR, c_limit*BRACKET_FACTOR], and each minimization
+    ``_speed_bracket``'s default, [c_limit/BRACKET_FACTOR,
+    c_limit*BRACKET_FACTOR], and each minimization
     stops at the gradient norm MINIMIZE_GRAD_TOL or after ``max_iter``
     (default SPEED_MAX_ITER) iterations.  A row is a dict keyed by
     STUDY_COLUMNS.  A width that fails raises when the generator reaches
@@ -690,17 +732,15 @@ def convergence_study(
     and ``flag`` reflect it: at the default, every pulse row reads ``maxiter``.
     """
     limit = limit_speed(p)
-    c_limit = limit.to_dict()["c"]
+    c_lo, c_hi, c_limit = _speed_bracket(None, None, limit)
     e = limit.limit_set
 
     for eps in sorted(eps_list, reverse=True):
         pe = Params(p.alpha, p.gamma, p.sigma, eps)
         grid = solver_grid(e, eps)
         init = build_recovery(e, pe, grid)
-        result = speed_eps(
-            pe, c_limit / BRACKET_FACTOR, c_limit * BRACKET_FACTOR,
-            grid, init.w.values, max_iter=max_iter,
-        )
+        result = speed_eps(pe, c_lo, c_hi, grid, init.w.values,
+                           max_iter=max_iter)
         err_u = l2e_norm(grid, result.profile.values - e.indicator(grid).values)
         r = result.report
         yield {

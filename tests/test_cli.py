@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhn_gamma import cli, epsilon_solver, wave_speeds
+from fhn_gamma import cli, epsilon_solver, svg, wave_speeds
 from fhn_gamma.cli import _emit_csv, run
 from fhn_gamma.epsilon_solver import (
     STUDY_COLUMNS,
@@ -486,6 +486,19 @@ def test_study_writes_each_width_before_a_later_one_fails(capsys):
     assert captured.out == _study_csv([row])
 
 
+def test_study_svg_streams_each_width_before_a_later_one_fails(tmp_path,
+                                                               capsys):
+    # with --svg the table streams too: the 0.04 row is written, then
+    # 1e-310 refuses its solver grid, and no plot is written
+    plot = tmp_path / "study.svg"
+    code = run(["study", *_PULSE_ARGS, "--eps-list", "0.04,1e-310",
+                "--max-iter", "1", "--svg", str(plot)])
+    assert code == 2
+    [row] = convergence_study([0.04], Params(2.0, 1.0, 1.0), max_iter=1)
+    assert capsys.readouterr().out == _study_csv([row])
+    assert not plot.exists()
+
+
 def test_study_yields_a_row_after_one_speed_solve(monkeypatch):
     calls = []
     solve = epsilon_solver.speed_eps
@@ -503,8 +516,8 @@ def test_study_yields_a_row_after_one_speed_solve(monkeypatch):
 
 
 def test_study_svg_keeps_the_table(tmp_path, capsys):
-    # the plot needs every row, so the table is written after the last
-    # width; its bytes and the exit code are those of a run without --svg
+    # the plot is written after the last width; the table's bytes and the
+    # exit code are those of a run without --svg
     args = ["study", *_PULSE_ARGS, "--eps-list", "0.04", "--max-iter", "1"]
     assert run(args) == 3
     plain = capsys.readouterr().out
@@ -512,6 +525,78 @@ def test_study_svg_keeps_the_table(tmp_path, capsys):
     assert run([*args, "--svg", str(plot)]) == 3
     assert capsys.readouterr().out == plain
     assert plot.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-energy", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+     "--c", "1.0", "--ell-grid", "0.1:10:50"],
+    ["lc-apply", "--gamma", "1", "--c", "1.0"],
+    ["recovery", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+     "--epsilon", "0.04"],
+    ["minimize", "--alpha", "2", "--gamma", "1", "--sigma", "1",
+     "--epsilon", "0.04", "--c", "2.3", "--max-iter", "2"],
+], ids=["limit-energy", "lc-apply", "recovery", "minimize"])
+def test_svg_keeps_the_table(argv, tmp_path, capsys):
+    # the plot is written after the table, whose bytes, the stdout and the
+    # exit code are those of a run without --svg
+    if argv[0] == "lc-apply":
+        argv = [*argv, "--input", str(_step_csv(tmp_path))]
+    out = tmp_path / "table.csv"
+    code = run([*argv, "--output", str(out)])
+    plain, stdout = out.read_bytes(), capsys.readouterr().out
+    out.unlink()
+    plot = tmp_path / "plot.svg"
+    assert run([*argv, "--output", str(out), "--svg", str(plot)]) == code
+    assert out.read_bytes() == plain
+    assert capsys.readouterr().out == stdout
+    assert plot.read_text().startswith("<svg")
+
+
+def test_minimize_svg_alone_writes_no_profile(tmp_path, capsys):
+    # the profile CSV goes to --output only: with --svg alone, stdout holds
+    # the JSON summary and nothing else
+    argv = ["minimize", *_PULSE_ARGS, "--epsilon", "0.04", "--c", "2.3",
+            "--max-iter", "2"]
+    code = run(argv)
+    stdout = capsys.readouterr().out
+    plot = tmp_path / "plot.svg"
+    assert run([*argv, "--svg", str(plot)]) == code
+    assert capsys.readouterr().out == stdout
+    assert plot.read_text().startswith("<svg")
+
+
+def test_lc_apply_plots_the_input_it_does_not_write(tmp_path):
+    # the input is plotted with the response, and only the response written
+    src = _step_csv(tmp_path)
+    f = SampledFunction.from_csv(src)
+    v = InhibitorOperator(f.grid, 1.0, 1.0).solve(f.values)
+    expected = tmp_path / "expected.svg"
+    svg.line_plot(expected, [("input", f.grid.x, f.values),
+                             ("response", f.grid.x, v)],
+                  title="inhibitor response at c=1.0", xlabel="x",
+                  ylabel="value")
+    out, plot = tmp_path / "resp.csv", tmp_path / "resp.svg"
+    assert run(["lc-apply", "--gamma", "1", "--c", "1.0", "--input", str(src),
+                "--output", str(out), "--svg", str(plot)]) == 0
+    assert plot.read_bytes() == expected.read_bytes()
+    assert out.read_text().splitlines()[0] == "x,value"
+    assert all(line.count(",") == 1 for line in out.read_text().splitlines())
+
+
+def test_bad_bracket_is_refused_before_any_grid(monkeypatch, capsys):
+    # a reversed bracket exits 2 before the solver grid or the recovery
+    # profile (400,001 quadrature points) is built
+    def fail(*args):
+        raise AssertionError("built before the bracket was checked")
+
+    monkeypatch.setattr(cli, "solver_grid", fail)
+    monkeypatch.setattr(cli, "build_recovery", fail)
+    assert run(["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04",
+                "--c-lo", "3", "--c-hi", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: bracket ends must be finite positive "
+                            "speeds with c_lo < c_hi: [3.0, 2.0]\n")
+    assert captured.out == ""
 
 
 def test_speed_eps_certifies_the_right_end(capsys, minimized_speeds):

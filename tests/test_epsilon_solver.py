@@ -394,14 +394,8 @@ def test_speed_eps_rejects_ends_that_are_not_speeds(c_lo, c_hi, monkeypatch):
         speed_eps(FRONT, c_lo, c_hi, grid, np.zeros(grid.n))
 
 
-def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):
-    # at front parameters and eps = 0.04 the minimum energy is negative on
-    # the whole bracket: m(c_lo) < 0 already rules out a root, since m
-    # decreases in c, so the solve stops before it reaches c_hi
-    eps = 0.04
-    grid = solver_grid(HALF_LINE, eps)
-    init = build_recovery(HALF_LINE, FRONT, grid)
-    c_f = front_speed(Params(5.0, 1.0, 1.0)).c_f
+def _recorded_minima(monkeypatch):
+    """(speed, minimum) of every minimize_energy call in epsilon_solver."""
     minima = []
     minimize = epsilon_solver.minimize_energy
 
@@ -411,15 +405,80 @@ def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):
         return res
 
     monkeypatch.setattr(epsilon_solver, "minimize_energy", recorded)
-    c_lo, c_hi = 0.5 * c_f, 2.0 * c_f
+    return minima
+
+
+def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):
+    # the pulse (2, 1, 1) at eps = 0.04 on a bracket above its speed: m(c_lo)
+    # < 0 already rules out a root, since m decreases in c, so the solve
+    # stops before it reaches c_hi; the zero-speed energy is positive, so
+    # the message gives the bracket and m(c_lo)
+    p = Params(2.0, 1.0, 1.0, 0.04)
+    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
+    grid = solver_grid(pulse.limit_set, p.epsilon)
+    init = build_recovery(pulse.limit_set, p, grid)
+    minima = _recorded_minima(monkeypatch)
+    c_lo, c_hi = 2.0 * pulse.c_p, 4.0 * pulse.c_p
     with pytest.raises(BracketError) as info:
-        speed_eps(FRONT, c_lo, c_hi, grid, init.w.values, max_iter=800)
-    [(c, m_lo)] = minima
+        speed_eps(p, c_lo, c_hi, grid, init.w.values, max_iter=50)
+    [(c, m_lo), (zero, m_0)] = minima
     assert c == c_lo and m_lo < 0.0
+    assert zero == 0.0 and m_0 > 0.0
     assert str(info.value) == (
         f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
         f"m({c_lo})={m_lo} is not positive, and m decreases in c"
     )
+
+
+def test_speed_eps_names_a_zero_speed_minimum_that_is_not_positive(
+        monkeypatch):
+    # at front parameters and eps = 0.04 the minimum energy is negative at
+    # c_lo = c_f / 2, and the zero-speed minimum, an upper bound on m(0),
+    # reads -0.0336: m decreases in c, so no front of positive speed exists
+    # at this width
+    eps = 0.04
+    grid = solver_grid(HALF_LINE, eps)
+    init = build_recovery(HALF_LINE, FRONT, grid)
+    c_f = front_speed(Params(5.0, 1.0, 1.0)).c_f
+    minima = _recorded_minima(monkeypatch)
+    c_lo, c_hi = 0.5 * c_f, 2.0 * c_f
+    with pytest.raises(BracketError) as info:
+        speed_eps(FRONT, c_lo, c_hi, grid, init.w.values, max_iter=800)
+    [(c, m_lo), (zero, m_0)] = minima
+    assert c == c_lo and m_lo < 0.0
+    assert zero == 0.0 and m_0 == pytest.approx(-0.0336, abs=5e-4)
+    assert str(info.value) == (
+        f"no wave of positive speed at ε = {eps}: m_ε(0) = {m_0} is not "
+        f"positive, and m decreases in c"
+    )
+
+
+@pytest.mark.parametrize("alpha, gamma, sigma", [
+    (5.0, 1.0, 1.0), (2.0, 0.3, 1.7), (1.5, 4.0, 0.2),
+])
+def test_zero_speed_nonlocal_term_is_sigma_over_two_gamma(alpha, gamma,
+                                                          sigma):
+    # at c = 0 the inhibitor is local, v = w / gamma, so on the unit sphere
+    # the nonlocal term is sigma / (2 gamma) whatever the profile, the
+    # gradient is that of the local energy, and the energy has no slope in c
+    p = Params(alpha, gamma, sigma, 0.04)
+    grid = small_grid(p.epsilon)
+    engine = DiscreteEnergy(grid, 0.0, p)
+    rng = np.random.default_rng(7)
+    for w in (rng.uniform(0.0, 1.0, grid.n), rng.standard_normal(grid.n),
+              np.where(grid.x < 0.0, 1.0, 0.0)):
+        w = w / l2e_norm(grid, w)
+        assert engine.report(w).nonlocal_term == pytest.approx(
+            0.5 * sigma / gamma, rel=1e-12)
+        assert engine.d_speed(w) == 0.0
+    w = engine.project(rng.uniform(0.0, 1.0, grid.n))
+    value, grad = engine.value_and_grad(w)
+    d = rng.standard_normal(grid.n)
+    d /= np.linalg.norm(d)
+    t = 1e-6
+    fd = (engine.value_and_grad(w + t * d)[0]
+          - engine.value_and_grad(w - t * d)[0]) / (2 * t)
+    assert fd == pytest.approx(float(grad @ d), rel=1e-5, abs=1e-9)
 
 
 def test_value_only_trials_match_full_evaluations(monkeypatch):
