@@ -14,8 +14,8 @@ a tolerance) takes that default from the library.
 Exit codes: 0 success, 2 invalid parameters (a speed-eps bracket that is
 not 0 < c_lo < c_hi < inf among them, refused before any grid is built) or
 wrong regime, 3 solver non-convergence (minimize, speed-eps, and study once
-any row is flagged maxiter) or no sign change in a speed bracket (named as
-m_eps(0) <= 0 when no wave of positive speed exists), 4 I/O failure.
+any row is flagged maxiter), a speed root outside its bracket, or no wave
+of positive speed (named as m_eps(0) <= 0), 4 I/O failure.
 Tables are written row by row as they are solved, in memory that does not
 grow with their length but for the columns that --svg plots after the last
 row: a failure at the first row writes nothing, a later one leaves the rows
@@ -346,9 +346,8 @@ def _cmd_speed_eps(opts):
     summary = {
         "c_eps": result.c_eps,
         "value": result.value,
-        "iterations": result.iterations,
-        "minimizations": sum(not step.certified for step in result.steps),
-        "c_hi_certified": any(step.certified for step in result.steps),
+        "newton_steps": result.iterations,
+        "fallback_minimizations": result.minimizations,
         "converged": result.converged,
         "c_limit": c_limit,
     }
@@ -426,12 +425,14 @@ _COMMANDS: dict[str, tuple] = {
         **_PARAM_OPTS, **_EPS_OPT, **_PROFILE_OPT,
         "c_lo": (float, None, "bracket lower end (default: half limit speed)"),
         "c_hi": (float, None, "bracket upper end (default: twice limit speed)"),
-        "max_iter": (int, SPEED_MAX_ITER, "iteration cap per minimization"),
+        "max_iter": (int, SPEED_MAX_ITER,
+                     "cap on Newton steps, and on each fallback minimization"),
     }),
     "study": (_cmd_study, {
         **_PARAM_OPTS, **_OUT_OPT, **_SVG_OPT,
         "eps_list": (str, "0.04,0.02,0.01", "comma-separated widths"),
-        "max_iter": (int, SPEED_MAX_ITER, "iteration cap per minimization"),
+        "max_iter": (int, SPEED_MAX_ITER,
+                     "cap on Newton steps, and on each fallback minimization"),
     }),
     "sweep": (_cmd_sweep, {
         **_OUT_OPT,

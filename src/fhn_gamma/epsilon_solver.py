@@ -15,13 +15,21 @@ the zero-crossing speed approaches the limit front or pulse speed.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import BracketError, GridError, InvalidParameterError
+from .errors import (
+    BracketError,
+    GridError,
+    InvalidParameterError,
+    NonConvergenceError,
+)
 from .model import F0, SQRT2, Params
 from .nonlocal_operator import InhibitorOperator
 from .wave_speeds import _newton_root, limit_speed
@@ -35,14 +43,27 @@ from .weighted_space import (
     weighted_dot,
 )
 
-#: the speed solve stops once its Newton step (or bracket) is this small
-#: relative to max(1, c)
-SPEED_BRACKET_TOL = 1e-3
 #: gradient-norm tolerance of every minimization, and the default iteration
-#: caps of a lone minimization and of each speed-solve minimization
+#: caps of a lone minimization and of the speed solve (its Newton steps, and
+#: the iterations of each fallback minimization)
 MINIMIZE_GRAD_TOL = 1e-6
 MINIMIZE_MAX_ITER = 10000
 SPEED_MAX_ITER = 1500
+#: the speed Newton stops once ||g||_{Q^-1} and |w^T Q w - 1| are below these
+SPEED_GRAD_TOL = 1e-10
+SPEED_NORM_TOL = 1e-12
+#: its GMRES: restart length, restart cycles and relative tolerance
+SPEED_GMRES_RESTART = 20
+SPEED_GMRES_CYCLES = 50
+SPEED_GMRES_RTOL = 1e-8
+#: Newton fails after this many steps in a row without a new smallest
+#: residual; no step changes the speed by more than SPEED_STEP_RATIO
+SPEED_WATCHDOG = 8
+SPEED_STEP_RATIO = 4.0
+#: CG steps of the minimizer check, and the weighted norm of the step off a
+#: saddle along its negative curvature
+SPEED_CHECK_ITER = 30
+SPEED_SADDLE_STEP = 0.1
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
 #: recovery profiles are sampled at this many points, from an inverse taken
@@ -174,6 +195,11 @@ def profile_box(p: Params) -> tuple[float, float]:
     return (-(y - step) / b - 1.0, beta2)
 
 
+#: the solver grids still referenced, by (set, width), and their lock
+_SOLVER_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SOLVER_GRIDS_LOCK = threading.Lock()
+
+
 def solver_grid(e: IntervalUnion, eps: float) -> Grid:
     """Uniform grid resolving interfaces of width O(eps), padded by GRID_PAD
     past both ends of the set.
@@ -189,8 +215,19 @@ def solver_grid(e: IntervalUnion, eps: float) -> Grid:
     ``GridError``, before any node exists, for more than MAX_GRID_NODES
     nodes.  Length is left to the inhibitor solve: ``InhibitorOperator``
     refuses grids longer than about 2,600 units, so ``DiscreteEnergy``
-    does, but a recovery profile on such a grid is built.
+    does, but a recovery profile on such a grid is built.  Equal calls
+    return one ``Grid`` while any caller still holds it, so results kept on
+    the same grid share its cached nodes and weights; a grid that no one
+    holds is freed.
     """
+    with _SOLVER_GRIDS_LOCK:
+        grid = _SOLVER_GRIDS.get((e, eps))
+        if grid is None:
+            grid = _SOLVER_GRIDS[e, eps] = _solver_grid(e, eps)
+    return grid
+
+
+def _solver_grid(e: IntervalUnion, eps: float) -> Grid:
     x_hi = e.rightmost + GRID_PAD
     h = Grid.for_interval(x_hi, eps / 8.0).h
     start = math.log(GRID_WEIGHT_TOL)
@@ -414,6 +451,51 @@ class DiscreteEnergy:
         report, flux, v = self._terms(values)
         return report.total, self._gradient(values, flux, v)
 
+    def curvature(self, values: np.ndarray) -> np.ndarray:
+        """Diagonal of the local term's Hessian, -q f_eps'(w) / eps =
+        q (3 w^2 - 2 (1 + beta) w + beta) / eps."""
+        beta = self.p.beta_eps
+        diag = 3.0 * values
+        diag -= 2.0 * (1.0 + beta)
+        diag *= values
+        diag += beta
+        diag *= self.grid.quadrature
+        diag /= self.p.epsilon
+        return diag
+
+    def hessp(self, values: np.ndarray, s: np.ndarray,
+              curvature: np.ndarray | None = None) -> np.ndarray:
+        """Energy Hessian at a profile applied to a direction s: the
+        difference term, the local term ``curvature`` * s (computed from
+        the profile when not given) and the nonlocal term
+        (sigma/2) (q L s + L^T (q s)); costs two solves."""
+        if curvature is None:
+            curvature = self.curvature(values)
+        flux = s[1:] - s[:-1]
+        flux *= self.weight_mid
+        flux *= self.p.epsilon / self.grid.h
+        hs = curvature * s
+        hs[:-1] -= flux
+        hs[1:] += flux
+        q = self.grid.quadrature
+        coupling = self.op.solve_transpose(q * s)
+        coupling += q * self.op.solve(s)
+        coupling *= 0.5 * self.p.sigma
+        hs += coupling
+        return hs
+
+    def d_speed_gradient(self, values: np.ndarray) -> np.ndarray:
+        """Speed derivative of the energy gradient at a fixed profile, for
+        c > 0.  Only the nonlocal term depends on c:
+        (sigma/2) (q dv/dc + (dL/dc)^T (q w)), from
+        ``InhibitorOperator.d_speed`` and ``d_speed_transpose``; costs four
+        solves."""
+        q, op = self.grid.quadrature, self.op
+        out = op.d_speed_transpose(q * values)
+        out += q * op.d_speed(values, op.solve(values))
+        out *= 0.5 * self.p.sigma
+        return out
+
     def d_speed(self, values: np.ndarray) -> float:
         """Speed derivative of the energy at a fixed profile.  Only the
         nonlocal term depends on c: (sigma/2) times the weighted pairing of w
@@ -564,21 +646,14 @@ def minimize_energy(
 
 @dataclass(frozen=True)
 class SpeedStep:
-    """One minimization of the speed solve: the speed, the minimum value
-    reached, its slope dm/dc = dE/dc at that profile, and the minimizer's
-    iteration count and convergence flag.
-
-    A ``certified`` step is no minimization but the check that proves the
-    bracket's right end: its value is the energy at c of the previous
-    minimizer, an upper bound on m(c), with that profile's dE/dc as slope,
-    0 iterations and ``converged`` False."""
+    """One Newton step of the speed solve: the speed it reached, the
+    gradient norm ||g||_{Q^-1} and the norm residual w^T Q w - 1 of the
+    profile it reached, and the Jacobian products its GMRES solve took."""
 
     c: float
-    value: float
-    slope: float
-    iterations: int
-    converged: bool
-    certified: bool = False
+    grad_norm: float
+    norm_residual: float
+    products: int
 
 
 @dataclass(frozen=True)
@@ -587,11 +662,13 @@ class SpeedResult:
     value: float
     profile: SampledFunction
     report: EnergyReport
+    #: Newton steps taken, len(steps)
     iterations: int
     converged: bool
-    #: one entry per minimization or certified bracket end, in evaluation
-    #: order
+    #: one entry per Newton step, in order
     steps: tuple[SpeedStep, ...]
+    #: fallback minimizations at a fixed speed
+    minimizations: int
 
 
 def _speed_bracket(c_lo, c_hi, limit=None):
@@ -611,6 +688,205 @@ def _speed_bracket(c_lo, c_hi, limit=None):
     return c_lo, c_hi, c_limit
 
 
+class _Iterate(NamedTuple):
+    """A point (w, c) of the speed Newton with its energy and residual."""
+
+    engine: DiscreteEnergy
+    w: np.ndarray
+    g: np.ndarray
+    grad_norm: float
+    norm_residual: float
+
+    @property
+    def merit(self) -> float:
+        return math.hypot(self.grad_norm, self.norm_residual)
+
+    @property
+    def converged(self) -> bool:
+        return (self.grad_norm < SPEED_GRAD_TOL
+                and abs(self.norm_residual) < SPEED_NORM_TOL)
+
+
+def _iterate(engine: DiscreteEnergy, w: np.ndarray) -> _Iterate:
+    g = engine.value_and_grad(w)[1]
+    grid = engine.grid
+    d = g / grid.quadrature
+    return _Iterate(engine, w, g, math.sqrt(weighted_dot(grid, d, d)),
+                    weighted_dot(grid, w, w) - 1.0)
+
+
+def _step_to(grid: Grid, c: float, p: Params, w: np.ndarray):
+    """The iterate (w, c), or None where the energy does not exist at c (a
+    grid too coarse for its decay rates) or the residual is not finite."""
+    if not 0.0 < c < math.inf:
+        return None
+    try:
+        engine = DiscreteEnergy(grid, c, p)
+    except (GridError, InvalidParameterError):
+        return None
+    it = _iterate(engine, w)
+    return it if math.isfinite(it.merit) else None
+
+
+class _Preconditioner:
+    """The banded matrix P: the difference term's tridiagonal, the local
+    curvature clipped at 0, and q.  Symmetric positive definite, factored
+    once by LAPACK dpttrf."""
+
+    def __init__(self, engine: DiscreteEnergy, curvature: np.ndarray):
+        q = engine.grid.quadrature
+        off = engine.weight_mid * (engine.p.epsilon / engine.grid.h)
+        d = np.maximum(curvature, 0.0)
+        d += q
+        d[:-1] += off
+        d[1:] += off
+        *self._factors, info = dpttrf(d, -off, overwrite_d=1)
+        if info != 0:  # pragma: no cover - defensive
+            raise NonConvergenceError(
+                f"preconditioner not positive definite: pivot {info}")
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return dpttrs(*self._factors, r)[0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Plain dot product, by einsum for the reason in ``weighted_dot``."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _negative_curvature(hess, pre: _Preconditioner, a: np.ndarray,
+                        rhs: np.ndarray):
+    """A direction d tangent to the sphere (a^T d = 0, a = Q w) with
+    d^T H d <= 0, met by projected preconditioned CG on H s = rhs (Gould,
+    Hribar & Nocedal, SIAM J. Sci. Comput. 23, 2001), or None when CG
+    reduces the residual's P^-1 norm by 1e-6 or runs SPEED_CHECK_ITER
+    steps without meeting one.  Such a direction proves that the Hessian
+    is not positive definite on the tangent space; CG stopping without one
+    proves nothing, but it meets the lowest modes first."""
+    pa = pre.solve(a)
+    apa = _dot(a, pa)
+
+    def project(r):
+        z = pre.solve(r)
+        z -= (_dot(a, z) / apa) * pa
+        return z
+
+    r = rhs.copy()
+    z = project(r)
+    d = z
+    rz = rz0 = _dot(r, z)
+    if not rz0 > 0.0:
+        return None
+    for _ in range(SPEED_CHECK_ITER):
+        hd = hess(d)
+        curv = _dot(d, hd)
+        if not curv > 0.0:
+            return d
+        r -= (rz / curv) * hd
+        z = project(r)
+        rz_next = _dot(r, z)
+        if rz_next <= 1e-12 * rz0:
+            return None
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    return None
+
+
+def _speed_newton(p: Params, start: _Iterate, budget: int, steps: list):
+    """Newton on F(w, c) = (grad_w E(w, c), (w^T Q w - 1)/2) from ``start``.
+
+    The Jacobian [[H, dg/dc], [(Q w)^T, 0]] is solved by restarted GMRES
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), preconditioned
+    by the same bordered matrix with H replaced by ``_Preconditioner``'s
+    P, which costs one banded solve per product; dg/dc is
+    ``DiscreteEnergy.d_speed_gradient``.  Full steps are taken, but for
+    one that would change c by more than the factor SPEED_STEP_RATIO, which
+    is shortened to change it by that factor.  The run fails when a step
+    reaches a speed at which the energy does not exist (a grid too coarse
+    for the decay rates) or SPEED_WATCHDOG steps in a row bring no residual
+    norm below the smallest so far.  A root must pass the minimizer check,
+    ``_negative_curvature`` with dg/dc as right-hand side.  Each step is
+    appended to ``steps``.  Returns (status, iterate, direction):
+    ("converged", root, None), ("budget", last iterate, None) once
+    ``steps`` holds ``budget`` steps, ("failed", None, None), or
+    ("saddle", root, a tangent direction of negative curvature).
+    """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    grid = start.engine.grid
+    q = grid.quadrature
+    root_q = np.sqrt(q)
+    n = grid.n
+    shape = (n + 1, n + 1)
+    it, best = start, start.merit
+    stalled = 0
+    while True:
+        engine, w = it.engine, it.w
+        c = engine.c
+        curvature = engine.curvature(w)
+        pre = _Preconditioner(engine, curvature)
+        a = q * w
+        dg_dc = engine.d_speed_gradient(w)
+
+        def hess(s):
+            return engine.hessp(w, s, curvature)
+
+        if it.converged:
+            direction = _negative_curvature(hess, pre, a, dg_dc)
+            return ("converged" if direction is None else "saddle",
+                    it, direction)
+        if len(steps) >= budget:
+            return "budget", it, None
+
+        p_dg = pre.solve(dg_dc)
+        schur = _dot(a, p_dg)
+        products = 0
+
+        # unknowns (sqrt(q) s, dc) and equations (g / sqrt(q), phase), so
+        # that GMRES's Euclidean norms are the weighted norms ||s||_Q and
+        # ||g||_{Q^-1}, which do not see how small e^x is in the left tail
+        def jac(v):
+            nonlocal products
+            products += 1
+            s = v[:n] / root_q
+            out = np.empty(n + 1)
+            out[:n] = hess(s)
+            out[:n] += v[n] * dg_dc
+            out[:n] /= root_q
+            out[n] = _dot(a, s)
+            return out
+
+        def bordered(v):
+            z = pre.solve(root_q * v[:n])
+            y = (_dot(a, z) - v[n]) / schur
+            z -= y * p_dg
+            z *= root_q
+            return np.append(z, y)
+
+        rhs = np.append(-it.g / root_q, -0.5 * it.norm_residual)
+        x, _ = gmres(LinearOperator(shape, matvec=jac, dtype=float), rhs,
+                     rtol=SPEED_GMRES_RTOL, atol=0.0,
+                     restart=SPEED_GMRES_RESTART, maxiter=SPEED_GMRES_CYCLES,
+                     M=LinearOperator(shape, matvec=bordered, dtype=float))
+        x[:n] /= root_q
+        ratio = (c + float(x[n])) / c
+        if not 1.0 / SPEED_STEP_RATIO <= ratio <= SPEED_STEP_RATIO:
+            bound = (SPEED_STEP_RATIO if ratio > 1.0
+                     else 1.0 / SPEED_STEP_RATIO)
+            x *= c * (bound - 1.0) / x[n]
+        it = _step_to(grid, c + float(x[n]), p, w + x[:n])
+        if it is None:
+            return "failed", None, None
+        steps.append(SpeedStep(it.engine.c, it.grad_norm, it.norm_residual,
+                               products))
+        if it.merit < best:
+            best, stalled = it.merit, 0
+        else:
+            stalled += 1
+            if stalled >= SPEED_WATCHDOG:
+                return "failed", None, None
+
+
 def speed_eps(
     p: Params,
     c_lo: float,
@@ -619,86 +895,70 @@ def speed_eps(
     init: np.ndarray,
     max_iter: int = SPEED_MAX_ITER,
 ) -> SpeedResult:
-    """Speed at which the constrained minimum energy crosses zero.
+    """Speed at which the constrained minimum energy m(c) vanishes.
 
-    The minimum energy m(c) decreases strictly in the speed, and by the
-    envelope identity its slope is the energy's speed derivative at the
-    minimizer, dm/dc = dE/dc(w*, c).  The bracket needs 0 < c_lo < c_hi <
-    inf (else invalid input, before any minimization) and must straddle a
-    sign change.  Every admissible profile's energy bounds m from above, so
-    a minimum at c_lo that is not positive ends the solve there with
-    ``BracketError``: m decreases in c, so no root lies in the bracket.
-    The zero-speed energy, whose inhibitor is local, is then minimized from
-    the c_lo minimizer, and if that bound on m(0) is not positive either,
-    the error says that no wave of positive speed exists at this width.
-    Otherwise the c_lo minimizer's energy at c_hi is evaluated: if it is
-    negative the bracket is proven and c_hi is not minimized (a
-    ``certified`` step); otherwise c_hi is minimized too, and a minimum
-    there that is not negative is a ``BracketError``.  Safeguarded Newton
-    (``wave_speeds._newton_root``) then starts from c_lo, where m is
-    positive.  On the pulse, m is convex there, so exact Newton steps
-    approach the root from below; a step that the capped minimizations carry
-    past it only moves the bracket.  The solve stops at the first minimized
-    speed whose Newton step |m/m'| (or the bracket) is at most
-    SPEED_BRACKET_TOL relative to max(1, c), and returns that last iterate,
-    with every minimization and certified end in ``steps``.  Minimizations
-    stop at the gradient norm MINIMIZE_GRAD_TOL or after ``max_iter``
-    (default SPEED_MAX_ITER) iterations and warm-start from the previous
-    minimizer.
-    Each speed's inhibitor matrix is factored once: an uncertified c_hi is
-    minimized with the energy built for its certificate.
+    Every weighted term of the energy is covariant under translation, so
+    at a constrained critical point w the multiplier lambda = w^T g / 2
+    equals the energy; where m(c) = 0 the minimizer is a critical point of
+    the energy itself, grad_w E(w, c) = 0, with the unit norm only fixing
+    the translation.  So the profile and the speed solve one system,
+    F(w, c) = (grad_w E, (w^T Q w - 1)/2) = 0, by Newton (``_speed_newton``)
+    from ``init`` at sqrt(c_lo c_hi).  It stops once ||g||_{Q^-1} <
+    SPEED_GRAD_TOL and |w^T Q w - 1| < SPEED_NORM_TOL, and the root must
+    pass the minimizer check; only the root must lie in [c_lo, c_hi] (else
+    ``BracketError`` naming it), and the bracket needs 0 < c_lo < c_hi <
+    inf (else invalid input, before any solve).
+
+    When Newton fails (a step reaches a speed at which the energy does not
+    exist, the watchdog fires, or the root is a saddle), one fallback
+    minimization of at most ``max_iter`` iterations restarts it: at the
+    start speed from ``init``, or at a saddle's speed from a step along its
+    negative curvature.  If Newton fails again, the zero-speed energy, whose
+    inhibitor is local, is minimized from the fallback minimizer: a bound
+    on m(0) that is not positive says that no wave of positive speed
+    exists at this width (``BracketError``), and otherwise the failure is a
+    ``NonConvergenceError``.  After ``max_iter`` Newton steps in all the
+    last iterate is returned with ``converged`` False.
     """
     _speed_bracket(c_lo, c_hi)
-    warm = np.asarray(init, dtype=float)
+    if not max_iter >= 1:
+        raise InvalidParameterError(f"need max_iter >= 1, got {max_iter}")
     steps = []
-
-    def minimum(engine: DiscreteEnergy):
-        nonlocal warm
-        res = minimize_energy(engine, warm, tol=MINIMIZE_GRAD_TOL,
-                              max_iter=max_iter)
-        warm = res.profile.values
-        slope = engine.d_speed(warm)
-        steps.append(SpeedStep(engine.c, res.value, slope, res.iterations,
-                               res.converged))
-        return res.value, slope, res
-
-    def certify(engine: DiscreteEnergy):
-        """The warm profile's energy at the engine's speed, recorded as a
-        certified step, if it is negative, else None; costs three solves."""
-        bound = engine.report(warm).total
-        if not bound < 0.0:
-            return None
-        steps.append(SpeedStep(engine.c, bound, engine.d_speed(warm), 0,
-                               False, certified=True))
-        return bound
-
-    no_sign_change = (f"no sign change of the minimum energy on "
-                      f"[{c_lo}, {c_hi}]: ")
-    f_lo = minimum(DiscreteEnergy(grid, c_lo, p))
-    if not f_lo[0] > 0.0:
-        m_0 = minimize_energy(DiscreteEnergy(grid, 0.0, p), warm,
-                              tol=MINIMIZE_GRAD_TOL, max_iter=max_iter).value
-        if not m_0 > 0.0:
-            raise BracketError(
-                f"no wave of positive speed at ε = {p.epsilon}: m_ε(0) = "
-                f"{m_0} is not positive, and m decreases in c")
+    minimizations = 0
+    start = _iterate(DiscreteEnergy(grid, math.sqrt(c_lo * c_hi), p),
+                     np.asarray(init, dtype=float))
+    status, it, direction = _speed_newton(p, start, max_iter, steps)
+    if status in ("failed", "saddle"):
+        engine, w = start.engine, start.w
+        if direction is not None:
+            engine = it.engine
+            w = it.w + (SPEED_SADDLE_STEP / l2e_norm(grid, direction)) * direction
+        warm = minimize_energy(engine, w, max_iter=max_iter).profile.values
+        minimizations += 1
+        status, it, direction = _speed_newton(p, _iterate(engine, warm),
+                                              max_iter, steps)
+        if status in ("failed", "saddle"):
+            m_0 = minimize_energy(DiscreteEnergy(grid, 0.0, p), warm,
+                                  max_iter=max_iter).value
+            if not m_0 > 0.0:
+                raise BracketError(
+                    f"no wave of positive speed at ε = {p.epsilon}: m_ε(0) = "
+                    f"{m_0} is not positive, and m decreases in c")
+            raise NonConvergenceError(
+                f"the speed Newton failed twice at ε = {p.epsilon}, the "
+                f"second time after a minimization at c = {engine.c}")
+    c_eps = it.engine.c
+    converged = status == "converged"
+    if converged and not c_lo <= c_eps <= c_hi:
         raise BracketError(
-            no_sign_change + f"m({c_lo})={f_lo[0]} is not positive, and m "
-            f"decreases in c"
-        )
-    hi = DiscreteEnergy(grid, c_hi, p)
-    m_hi = certify(hi)
-    if m_hi is None:
-        m_hi = minimum(hi)[0]
-    if not m_hi < 0.0:
-        raise BracketError(
-            no_sign_change + f"m({c_lo})={f_lo[0]}, m({c_hi})={m_hi}")
-    c_eps, res = _newton_root(lambda c: minimum(DiscreteEnergy(grid, c, p)),
-                              c_lo, c_hi, c_lo, f_lo, xtol=SPEED_BRACKET_TOL)
+            f"the speed root c = {c_eps} lies outside the bracket "
+            f"[{c_lo}, {c_hi}]")
+    report = it.engine.report(it.w)
     return SpeedResult(
-        c_eps=c_eps, value=res.value, profile=res.profile, report=res.report,
-        iterations=sum(step.iterations for step in steps),
-        converged=res.converged, steps=tuple(steps),
+        c_eps=c_eps, value=report.total,
+        profile=SampledFunction(grid, it.w), report=report,
+        iterations=len(steps), converged=converged, steps=tuple(steps),
+        minimizations=minimizations,
     )
 
 
@@ -720,16 +980,11 @@ def convergence_study(
 
     Widths run in descending order.  The speed bracket for every width is
     ``_speed_bracket``'s default, [c_limit/BRACKET_FACTOR,
-    c_limit*BRACKET_FACTOR], and each minimization
-    stops at the gradient norm MINIMIZE_GRAD_TOL or after ``max_iter``
-    (default SPEED_MAX_ITER) iterations.  A row is a dict keyed by
-    STUDY_COLUMNS.  A width that fails raises when the generator reaches
-    it, after the rows before it were yielded.
-
-    The default budget per minimization is far below MINIMIZE_MAX_ITER:
-    the speed Newton needs only the value and slope, whose errors are second
-    and first order in the distance from the minimizer.  But ``err_u_l2e``
-    and ``flag`` reflect it: at the default, every pulse row reads ``maxiter``.
+    c_limit*BRACKET_FACTOR], and ``max_iter`` (default SPEED_MAX_ITER) is
+    ``speed_eps``'s budget.  A row is a dict keyed by STUDY_COLUMNS, with
+    ``iters`` the Newton steps and ``flag`` ``maxiter`` when the budget ran
+    out before the root.  A width that fails raises when the generator
+    reaches it, after the rows before it were yielded.
     """
     limit = limit_speed(p)
     c_lo, c_hi, c_limit = _speed_bracket(None, None, limit)

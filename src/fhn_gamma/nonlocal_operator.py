@@ -284,3 +284,20 @@ class InhibitorOperator:
         rhs[-1] = self._speed_hi[0] * v[-1] + self._speed_hi[1] * f[-1]
         return self._solve_scaled(self._inv_scale, self._scale, rhs)
 
+    def d_speed_transpose(self, g: np.ndarray) -> np.ndarray:
+        """The adjoint of f -> d_speed(f, solve(f)) in the plain inner
+        product.  Row by row B_c f - A_c v = a v + b f, with a = 2 gamma/c
+        and b = -2/c inside and the Robin rows at the ends, so
+        dL/dc = A^{-1} (diag(a) L + diag(b)) and its adjoint is
+        (L^T diag(a) + diag(b)) A^{-T}.  Costs two solves."""
+        z = self._solve_scaled(self._scale, self._inv_scale, g)
+        az = (2.0 * self.gamma / self.c) * z
+        az[0] = self._speed_lo[0] * z[0]
+        az[-1] = self._speed_hi[0] * z[-1]
+        out = self.solve_transpose(az)
+        bz = (-2.0 / self.c) * z
+        bz[0] = self._speed_lo[1] * z[0]
+        bz[-1] = self._speed_hi[1] * z[-1]
+        out += bz
+        return out
+

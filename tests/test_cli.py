@@ -331,17 +331,17 @@ def test_profile_outputs_are_repr_csv(tmp_path, capsys):
     out = tmp_path / "speed.csv"
     capsys.readouterr()
     assert run(["speed-eps", *_PULSE_ARGS, "--epsilon", "0.04",
-                "--c-lo", "2.1169", "--c-hi", "2.5614", "--max-iter", "20",
+                "--c-lo", "2.1169", "--c-hi", "2.5614", "--max-iter", "5",
                 "--output", str(out)]) == 3
     e = pulse_speed(pulse).limit_set
     grid = solver_grid(e, 0.04)
     result = speed_eps(pulse, 2.1169, 2.5614, grid,
-                       build_recovery(e, pulse, grid).w.values, max_iter=20)
+                       build_recovery(e, pulse, grid).w.values, max_iter=5)
     _assert_profile_csv(out, grid, result.profile.values)
     # the summary goes to stdout, as minimize's does
     summary = json.loads(capsys.readouterr().out)
-    assert list(summary) == ["c_eps", "value", "iterations", "minimizations",
-                             "c_hi_certified", "converged", "c_limit"]
+    assert list(summary) == ["c_eps", "value", "newton_steps",
+                             "fallback_minimizations", "converged", "c_limit"]
     assert summary["c_eps"] == result.c_eps
 
 
@@ -442,18 +442,15 @@ def test_speed_eps_short_budget_reports_nonconvergence(
     monkeypatch.setattr(wave_speeds, "pulse_speed", counting_pulse_speed)
     code = run(["speed-eps", "--alpha", "2", "--gamma", "1", "--sigma", "1",
                 "--epsilon", "0.04", "--c-lo", "2.1169", "--c-hi", "2.5614",
-                "--max-iter", "20"])
+                "--max-iter", "5"])
     assert code == 3
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is False
     assert len(calls) == 1
-    # 20 iterations leave the c_lo profile's energy at c_hi positive, so
-    # c_hi is not certified but minimized; then at least one Newton step,
-    # every minimization stopping at the cap of 20
-    assert summary["c_hi_certified"] is False
-    assert minimized_speeds[:2] == [2.1169, 2.5614] and len(minimized_speeds) >= 3
-    assert summary["minimizations"] == len(minimized_speeds)
-    assert summary["iterations"] == 20 * summary["minimizations"]
+    # the pulse needs 16 Newton steps from sqrt(c_lo c_hi): five leave it
+    # unconverged, with no fallback minimization
+    assert summary["newton_steps"] == 5
+    assert summary["fallback_minimizations"] == 0 and minimized_speeds == []
 
 
 def _study_csv(rows) -> str:
@@ -599,18 +596,18 @@ def test_bad_bracket_is_refused_before_any_grid(monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_speed_eps_certifies_the_right_end(capsys, minimized_speeds):
+def test_speed_eps_reports_its_newton_steps(capsys, minimized_speeds):
+    # the benchmark's bracket, rounded: Newton from sqrt(c_lo c_hi)
+    # converges to the grid's root in 16 steps, with no minimization
     code = run(["speed-eps", "--alpha", "2", "--gamma", "1", "--sigma", "1",
                 "--epsilon", "0.04", "--c-lo", "2.1169", "--c-hi", "2.5614",
                 "--max-iter", "300"])
-    assert code in (0, 3)
+    assert code == 0
     summary = json.loads(capsys.readouterr().out)
-    # c_lo minimized, c_hi certified and never minimized, then Newton steps
-    assert summary["c_hi_certified"] is True
-    assert minimized_speeds[0] == 2.1169 and 2.5614 not in minimized_speeds
-    assert len(minimized_speeds) >= 2
-    assert summary["minimizations"] == len(minimized_speeds)
-    assert summary["iterations"] <= 300 * summary["minimizations"]
+    assert summary["converged"] is True
+    assert abs(summary["c_eps"] - 2.28605594) < 1e-8
+    assert 0 < summary["newton_steps"] <= 20
+    assert summary["fallback_minimizations"] == 0 and minimized_speeds == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,8 @@ from fhn_gamma.epsilon_solver import (
     GRID_WEIGHT_TOL,
     RECOVERY_NODES,
     RECOVERY_QUAD_NODES,
-    SPEED_BRACKET_TOL,
+    SPEED_GRAD_TOL,
+    SPEED_NORM_TOL,
     DiscreteEnergy,
     EnergyReport,
     MinimizeResult,
@@ -24,6 +25,7 @@ from fhn_gamma.epsilon_solver import (
     speed_eps,
 )
 from fhn_gamma.errors import BracketError, InvalidParameterError
+from fhn_gamma.nonlocal_operator import InhibitorOperator
 from fhn_gamma.limit_energy import sharp_interface_energy
 from fhn_gamma.model import F0, G, Params, f_eps
 from fhn_gamma.wave_speeds import front_speed, limit_speed, pulse_speed
@@ -408,34 +410,32 @@ def _recorded_minima(monkeypatch):
     return minima
 
 
-def test_speed_eps_no_sign_change_reports_endpoints(monkeypatch):
-    # the pulse (2, 1, 1) at eps = 0.04 on a bracket above its speed: m(c_lo)
-    # < 0 already rules out a root, since m decreases in c, so the solve
-    # stops before it reaches c_hi; the zero-speed energy is positive, so
-    # the message gives the bracket and m(c_lo)
+def test_speed_eps_no_sign_change_reports_endpoints(minimized_speeds):
+    # the pulse (2, 1, 1) at eps = 0.04 on a bracket above its speed, where
+    # m has no sign change: Newton from sqrt(c_lo c_hi) finds the root all
+    # the same, below the bracket, and the error names it and both ends
     p = Params(2.0, 1.0, 1.0, 0.04)
     pulse = pulse_speed(Params(2.0, 1.0, 1.0))
     grid = solver_grid(pulse.limit_set, p.epsilon)
     init = build_recovery(pulse.limit_set, p, grid)
-    minima = _recorded_minima(monkeypatch)
     c_lo, c_hi = 2.0 * pulse.c_p, 4.0 * pulse.c_p
     with pytest.raises(BracketError) as info:
         speed_eps(p, c_lo, c_hi, grid, init.w.values, max_iter=50)
-    [(c, m_lo), (zero, m_0)] = minima
-    assert c == c_lo and m_lo < 0.0
-    assert zero == 0.0 and m_0 > 0.0
-    assert str(info.value) == (
-        f"no sign change of the minimum energy on [{c_lo}, {c_hi}]: "
-        f"m({c_lo})={m_lo} is not positive, and m decreases in c"
-    )
+    message = str(info.value)
+    prefix, root = "the speed root c = ", message.split()[5]
+    assert message == (f"{prefix}{root} lies outside the bracket "
+                       f"[{c_lo}, {c_hi}]")
+    assert float(root) == pytest.approx(_PULSE_ROOT, abs=1e-8)
+    assert minimized_speeds == []
 
 
 def test_speed_eps_names_a_zero_speed_minimum_that_is_not_positive(
         monkeypatch):
-    # at front parameters and eps = 0.04 the minimum energy is negative at
-    # c_lo = c_f / 2, and the zero-speed minimum, an upper bound on m(0),
-    # reads -0.0336: m decreases in c, so no front of positive speed exists
-    # at this width
+    # at front parameters and eps = 0.04 Newton from c_f fails twice, the
+    # second time after a fallback minimization at c_f; the zero-speed
+    # minimum from that minimizer, an upper bound on m(0), reads -0.0336,
+    # and m decreases in c, so no front of positive speed exists at this
+    # width
     eps = 0.04
     grid = solver_grid(HALF_LINE, eps)
     init = build_recovery(HALF_LINE, FRONT, grid)
@@ -444,8 +444,8 @@ def test_speed_eps_names_a_zero_speed_minimum_that_is_not_positive(
     c_lo, c_hi = 0.5 * c_f, 2.0 * c_f
     with pytest.raises(BracketError) as info:
         speed_eps(FRONT, c_lo, c_hi, grid, init.w.values, max_iter=800)
-    [(c, m_lo), (zero, m_0)] = minima
-    assert c == c_lo and m_lo < 0.0
+    [(c, _), (zero, m_0)] = minima
+    assert c == math.sqrt(c_lo * c_hi) == pytest.approx(c_f, rel=1e-15)
     assert zero == 0.0 and m_0 == pytest.approx(-0.0336, abs=5e-4)
     assert str(info.value) == (
         f"no wave of positive speed at ε = {eps}: m_ε(0) = {m_0} is not "
@@ -778,157 +778,210 @@ def test_energy_speed_derivative_matches_central_difference():
         assert slope == pytest.approx(fd, rel=1e-5)
 
 
-#: minimizations of the bisection that the Newton speed solve replaced, on
-#: the pulse (2, 1, 1) at eps = 0.04 with 300 iterations per minimization,
-#: were 5 and 9; Newton with a certified right end needs at most these
-_SPEED_MINIMIZATIONS = {1.1: 2, 2.0: 4}
+#: the speed root of the pulse (2, 1, 1) at eps = 0.04 on the solver grid:
+#: Newton's answer, 1.28e-4 below the h -> 0 limit 2.2861840 (the grid's
+#: second-order bias) and 3.2e-6 below the root of the grid's m_h(c), by
+#: E / |dE/dc| with E = 2.3e-7 at the root
+_PULSE_ROOT = 2.28605594
+
+
+def _pulse(eps=0.04, alpha=2.0):
+    """Parameters, limit speed, solver grid and recovery start of the pulse
+    (alpha, 1, 1) at eps."""
+    p = Params(alpha, 1.0, 1.0, eps)
+    pulse = pulse_speed(Params(alpha, 1.0, 1.0))
+    grid = solver_grid(pulse.limit_set, eps)
+    return p, pulse.c_p, grid, build_recovery(pulse.limit_set, p, grid).w.values
+
+
+#: fallback minimizations of the speed solve on the pulse (2, 1, 1) at
+#: eps = 0.04 with max_iter = 300; the bisection it replaced took 5 and 9,
+#: and the bracketed Newton over minimizations 2 and 4.  Both brackets
+#: start Newton at sqrt(c_lo c_hi) = c_p, from which the undamped path
+#: converges, so neither needs one
+_SPEED_MINIMIZATIONS = {1.1: 0, 2.0: 0}
+#: Newton steps on those brackets: 16 measured.  The soft width mode makes
+#: the middle steps converge linearly, c - c_eps falling by about 0.3 per
+#: two steps from 5e-3 to 1e-5, before two quadratic steps; the bound
+#: leaves room for a few more of the linear ones
+_SPEED_NEWTON_STEPS = 20
 
 
 @pytest.mark.parametrize("factor", sorted(_SPEED_MINIMIZATIONS))
 def test_speed_newton_needs_no_more_minimizations_than_bisection(
         factor, minimized_speeds):
-    eps = 0.04
-    p = Params(2.0, 1.0, 1.0, eps)
-    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
-    grid = solver_grid(pulse.limit_set, eps)
-    init = build_recovery(pulse.limit_set, p, grid)
-    c_lo, c_hi = pulse.c_p / factor, pulse.c_p * factor
-    res = speed_eps(p, c_lo, c_hi, grid, init.w.values, max_iter=300)
-    assert len(minimized_speeds) <= _SPEED_MINIMIZATIONS[factor]
-    assert c_lo < res.c_eps < c_hi
-    # c_lo minimized, c_hi certified without a minimization, then one step
-    # per Newton minimization, in evaluation order
-    first, end, *newton = res.steps
-    assert (first.c, first.certified) == (c_lo, False)
-    assert (end.c, end.certified, end.iterations) == (c_hi, True, 0)
-    assert end.value < 0.0
-    assert newton and not any(step.certified for step in newton)
-    assert [step.c for step in [first, *newton]] == minimized_speeds
-    assert res.iterations == sum(step.iterations for step in res.steps)
-    # the answer is the last iterate, stopped on its Newton step; here it
-    # also has the smallest |m|
-    last = newton[-1]
-    assert (last.c, last.value) == (res.c_eps, res.value)
-    assert abs(last.value / last.slope) <= SPEED_BRACKET_TOL * max(1.0, last.c)
-    best = min([first, *newton], key=lambda step: abs(step.value))
-    assert (best.c, best.value) == (res.c_eps, res.value)
-    assert all(step.slope < 0.0 for step in res.steps)
-
-
-def test_speed_stops_on_the_newton_step_at_the_last_iterate(monkeypatch):
-    # scripted minima (m, dm/dc) in minimization order on [1, 2], whose
-    # right end is certified: Newton goes 1 -> 1.1 -> 1.104.  At 1.1 |m| is
-    # only 4e-4 but the step 4e-3 exceeds the tolerance, so the solve goes
-    # on; at 1.104 the step is 6e-4 and the solve stops there and returns
-    # that speed, although the step before had the smaller |m|
-    grid = Grid(0.0, 1.0, 3)
-    minima = iter([(0.01, -0.1), (4e-4, -0.1), (-6e-4, -1.0)])
-    slopes = {2.0: -0.1}
-
-    class ScriptedEnergy:
-        def __init__(self, grid, c, p):
-            self.c = c
-
-        def report(self, values):
-            return EnergyReport(0.0, 0.0, 0.0, -0.05)
-
-        def d_speed(self, values):
-            return slopes[self.c]
-
-    def scripted_minimum(engine, init, tol, max_iter):
-        value, slopes[engine.c] = next(minima)
-        return MinimizeResult(
-            profile=SampledFunction(grid, init), value=value,
-            report=EnergyReport(0.0, 0.0, 0.0, value), iterations=1,
-            converged=True, grad_norm=0.0, multiplier=value,
-        )
-
-    monkeypatch.setattr(epsilon_solver, "DiscreteEnergy", ScriptedEnergy)
-    monkeypatch.setattr(epsilon_solver, "minimize_energy", scripted_minimum)
-    res = speed_eps(Params(2.0, 1.0, 1.0, 0.04), 1.0, 2.0, grid,
-                    np.ones(3))
-    first, end, *newton = res.steps
-    assert (end.c, end.value, end.certified) == (2.0, -0.05, True)
-    assert [step.value for step in [first, *newton]] == [0.01, 4e-4, -6e-4]
-    assert [step.c for step in newton] == pytest.approx([1.1, 1.104],
-                                                        rel=1e-14)
-    assert (res.c_eps, res.value) == (newton[-1].c, -6e-4)
-    assert res.iterations == 3
-
-
-@pytest.fixture(scope="module")
-def pulse_bracket():
-    """The pulse (2, 1, 1) at eps = 0.04: parameters, grid, recovery start,
-    c_lo = c_p / 1.1, the 300-iteration minimizer at c_lo that speed_eps
-    warm-starts from, and the speed c_star at which that minimizer's
-    energy vanishes."""
-    eps = 0.04
-    p = Params(2.0, 1.0, 1.0, eps)
-    pulse = pulse_speed(Params(2.0, 1.0, 1.0))
-    grid = solver_grid(pulse.limit_set, eps)
-    init = build_recovery(pulse.limit_set, p, grid).w.values
-    c_lo = pulse.c_p / 1.1
-    w_lo = minimize_energy(DiscreteEnergy(grid, c_lo, p), init,
-                           max_iter=300).profile.values
-    c_star = brentq(lambda c: DiscreteEnergy(grid, c, p).report(w_lo).total,
-                    c_lo, 1.1 * pulse.c_p, xtol=1e-12)
-    return p, grid, init, c_lo, w_lo, c_star
-
-
-def test_speed_certificate_is_an_upper_bound(pulse_bracket):
-    p, grid, init, c_lo, w_lo, _ = pulse_bracket
-    c_hi = 1.21 * c_lo  # 1.1 c_p, the benchmark's right end
+    p, c_p, grid, init = _pulse()
+    c_lo, c_hi = c_p / factor, c_p * factor
     res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
-    end = res.steps[1]
-    assert end.certified and end.c == c_hi
-    engine = DiscreteEnergy(grid, c_hi, p)
-    assert end.value == engine.report(w_lo).total < 0.0
-    assert end.slope == engine.d_speed(w_lo)
-    minimized = minimize_energy(engine, w_lo, max_iter=300)
-    assert minimized.value <= end.value
+    assert len(minimized_speeds) == res.minimizations
+    assert res.minimizations <= _SPEED_MINIMIZATIONS[factor]
+    assert res.converged and c_lo < res.c_eps < c_hi
+    assert res.c_eps == pytest.approx(_PULSE_ROOT, abs=1e-8)
+    assert res.iterations == len(res.steps) <= _SPEED_NEWTON_STEPS
+    assert all(step.products > 0 for step in res.steps)
 
 
-def test_speed_certified_step_is_never_best(pulse_bracket):
-    # just right of c_star the certificate is a tiny negative energy, far
-    # smaller in magnitude than the first Newton minimum, where the solve
-    # stops; the result must still be that minimum.  The capped Newton
-    # minimum is chaotic in c_p: |m| = 2.9e-4 at one c_p and 1.0e-5 at a
-    # c_p 1e-15 away, against 1.6e-5 for a certificate 1e-4 right of
-    # c_star, so the certificate sits 1e-5 right of it (|m| = 1.6e-6)
-    p, grid, init, c_lo, _, c_star = pulse_bracket
-    c_hi = c_star * (1.0 + 1e-5)
-    res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
-    first, end, *newton = res.steps
-    assert end.certified and end.c == c_hi
-    assert len(newton) == 1 and not newton[0].certified
-    assert abs(end.value) < abs(newton[0].value)
-    assert (abs(newton[0].value / newton[0].slope)
-            <= SPEED_BRACKET_TOL * max(1.0, newton[0].c))
-    assert (res.c_eps, res.value) == (newton[0].c, newton[0].value)
-    assert res.converged == newton[0].converged
+def test_speed_eps_converges_to_the_pulse_root_on_the_benchmark_bracket():
+    # [c_p / 1.1, 1.1 c_p] with 300 iterations: a root to 1e-8, with unit
+    # norm, inside the box, and an energy at the grid's translation defect
+    p, c_p, grid, init = _pulse()
+    res = speed_eps(p, c_p / 1.1, c_p * 1.1, grid, init, max_iter=300)
+    assert res.converged and res.minimizations == 0
+    assert res.c_eps == pytest.approx(_PULSE_ROOT, abs=1e-8)
+    w = res.profile.values
+    assert abs(l2e_norm(grid, w) - 1.0) < 1e-10
+    lo, hi = profile_box(p)
+    assert lo < w.min() < -0.02 and 0.98 < w.max() < hi
+    assert res.value == res.report.total
+    assert 0.0 < res.value < 1e-6
+    last = res.steps[-1]
+    assert last.c == res.c_eps
+    assert last.grad_norm < SPEED_GRAD_TOL
+    assert abs(last.norm_residual) < SPEED_NORM_TOL
 
 
-def test_speed_uncertified_end_is_minimized(pulse_bracket,
-                                            minimized_speeds):
-    # just left of c_star the c_lo minimizer's energy is positive, so c_hi
-    # is minimized from that minimizer, as before certificates existed
-    p, grid, init, c_lo, w_lo, c_star = pulse_bracket
-    c_hi = c_star * (1.0 - 1e-3)
-    assert DiscreteEnergy(grid, c_hi, p).report(w_lo).total >= 0.0
-    res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
-    assert minimized_speeds[:2] == [c_lo, c_hi]
-    assert not any(step.certified for step in res.steps)
-    end = res.steps[1]
-    assert end.iterations > 0
-    assert end.value == minimize_energy(DiscreteEnergy(grid, c_hi, p), w_lo,
-                                        max_iter=300).value < 0.0
+def test_speed_eps_is_deterministic():
+    p, c_p, grid, init = _pulse()
+    a, b = (speed_eps(p, c_p / 1.1, c_p * 1.1, grid, init, max_iter=300)
+            for _ in range(2))
+    assert (a.c_eps, a.value, a.steps) == (b.c_eps, b.value, b.steps)
+    assert a.profile.values.tobytes() == b.profile.values.tobytes()
 
 
-def test_speed_factors_each_speed_once(pulse_bracket, monkeypatch):
-    # the uncertified c_hi is minimized with the energy built for its
-    # certificate, so no speed's inhibitor matrix is factored twice
-    p, grid, init, c_lo, _, c_star = pulse_bracket
-    c_hi = c_star * (1.0 - 1e-3)
+def test_speed_stops_on_the_newton_step_at_the_last_iterate():
+    # the solve returns the iterate of its last step: the first that meets
+    # both tolerances, or the last one the budget allows, unconverged
+    p, c_p, grid, init = _pulse()
+    res = speed_eps(p, c_p / 1.1, c_p * 1.1, grid, init, max_iter=300)
+    *before, last = res.steps
+    assert (res.c_eps, res.converged) == (last.c, True)
+    assert not (before[-1].grad_norm < SPEED_GRAD_TOL
+                and abs(before[-1].norm_residual) < SPEED_NORM_TOL)
+    short = speed_eps(p, c_p / 1.1, c_p * 1.1, grid, init, max_iter=5)
+    assert short.steps == res.steps[:5]
+    assert (short.c_eps, short.converged) == (res.steps[4].c, False)
+    assert short.iterations == 5 and short.minimizations == 0
+
+
+def test_speed_eps_falls_back_to_a_minimization(monkeypatch,
+                                                minimized_speeds):
+    # the pulse (1.5, 1, 1) at eps = 0.04: without the bound on the speed
+    # ratio the first Newton step sends c below 0; one minimization at the
+    # start speed c_p restarts Newton, which then converges to the root
+    # that the bounded steps reach directly
+    p, c_p, grid, init = _pulse(alpha=1.5)
+    bounded = speed_eps(p, c_p / 2.0, c_p * 2.0, grid, init, max_iter=300)
+    assert bounded.converged and bounded.minimizations == 0
+    assert minimized_speeds == []
+    monkeypatch.setattr(epsilon_solver, "SPEED_STEP_RATIO", math.inf)
+    res = speed_eps(p, c_p / 2.0, c_p * 2.0, grid, init, max_iter=300)
+    assert res.converged and res.minimizations == 1
+    assert minimized_speeds == [math.sqrt(c_p / 2.0 * c_p * 2.0)]
+    assert res.c_eps == pytest.approx(3.7076011, abs=1e-7)
+    assert res.c_eps == pytest.approx(bounded.c_eps, abs=1e-9)
+
+
+def test_speed_eps_steps_off_a_saddle(monkeypatch, minimized_speeds):
+    # a root that fails the minimizer check is left along its direction of
+    # negative curvature by one minimization at its speed; here the check
+    # is made to fail once, at the pulse's own root, so Newton returns to it
+    p, c_p, grid, init = _pulse()
+    check = epsilon_solver._negative_curvature
+    calls = []
+
+    def fails_once(hess, pre, a, rhs):
+        calls.append(a)
+        return rhs.copy() if len(calls) == 1 else check(hess, pre, a, rhs)
+
+    monkeypatch.setattr(epsilon_solver, "_negative_curvature", fails_once)
+    res = speed_eps(p, c_p / 1.1, c_p * 1.1, grid, init, max_iter=300)
+    assert len(calls) == 2 and res.converged and res.minimizations == 1
+    assert minimized_speeds == [pytest.approx(_PULSE_ROOT, abs=1e-8)]
+    assert res.c_eps == pytest.approx(_PULSE_ROOT, abs=1e-8)
+
+
+def test_minimizer_check_fires_on_an_indefinite_hessian():
+    # at the pulse root the check meets no negative curvature; a plateau at
+    # w = 1/2, in the spinodal region of the well where the local
+    # curvature is -1/(4 eps) per unit weight, has tangent directions of
+    # negative curvature, and the check returns one of them
+    p, c_p, grid, init = _pulse()
+    res = speed_eps(p, c_p / 1.1, c_p * 1.1, grid, init, max_iter=300)
+    q = grid.quadrature
+
+    def check(w):
+        engine = DiscreteEnergy(grid, res.c_eps, p)
+        curvature = engine.curvature(w)
+        pre = epsilon_solver._Preconditioner(engine, curvature)
+        dg_dc = engine.d_speed_gradient(w)
+
+        def hess(s):
+            return engine.hessp(w, s, curvature)
+
+        return epsilon_solver._negative_curvature(hess, pre, q * w, dg_dc), hess
+
+    assert check(res.profile.values)[0] is None
+    plateau = np.where((grid.x >= 0.0) & (grid.x <= math.log(5.0)), 0.5, 0.0)
+    plateau /= l2e_norm(grid, plateau)
+    assert plateau.max() == pytest.approx(0.5, rel=1e-3)
+    direction, hess = check(plateau)
+    assert direction is not None
+    assert abs(weighted_dot(grid, direction, plateau)) < 1e-12 * l2e_norm(
+        grid, direction)
+    assert float(np.dot(direction, hess(direction))) <= 0.0
+
+
+def test_front_speed_converges_below_the_threshold_width():
+    # the front (5, 1, 1) at eps = 0.01, below eps* ~ 0.0184: Newton from
+    # c_f converges to the finite-width front, 37% below c_f
+    eps = 0.01
+    p = Params(5.0, 1.0, 1.0, eps)
+    c_f = front_speed(Params(5.0, 1.0, 1.0)).c_f
+    grid = solver_grid(HALF_LINE, eps)
+    init = build_recovery(HALF_LINE, p, grid).w.values
+    res = speed_eps(p, c_f / 2.0, c_f * 2.0, grid, init, max_iter=300)
+    assert res.converged
+    assert res.c_eps == pytest.approx(0.0725745, abs=1e-7)
+
+
+@pytest.mark.parametrize("case", ["pulse", "front"])
+def test_hessp_matches_central_differences_of_the_gradient(case):
+    if case == "pulse":
+        p, c, grid, w = _pulse()
+    else:
+        p, c = FRONT, front_speed(Params(5.0, 1.0, 1.0)).c_f
+        grid = solver_grid(HALF_LINE, p.epsilon)
+        w = build_recovery(HALF_LINE, p, grid).w.values
+    engine = DiscreteEnergy(grid, c, p)
+    rng = np.random.default_rng(7)
+    for s in (rng.standard_normal(grid.n), np.sin(grid.x)):
+        t = 1e-6
+        fd = (engine.value_and_grad(w + t * s)[1]
+              - engine.value_and_grad(w - t * s)[1]) / (2.0 * t)
+        hs = engine.hessp(w, s)
+        assert np.max(np.abs(hs - fd)) <= 1e-9 * np.max(np.abs(hs))
+        assert np.array_equal(engine.hessp(w, s, engine.curvature(w)), hs)
+
+
+def test_speed_gradient_matches_central_differences():
+    # dg/dc of the speed Newton, against gradients at c (1 +- 1e-4), whose
+    # own truncation error is about 5e-8 relative; paired with w it is
+    # twice dE/dc, since w^T g holds the nonlocal term twice
+    p, c, grid, w = _pulse()
+    engine = DiscreteEnergy(grid, c, p)
+    dc = 1e-4 * c
+    fd = (DiscreteEnergy(grid, c + dc, p).value_and_grad(w)[1]
+          - DiscreteEnergy(grid, c - dc, p).value_and_grad(w)[1]) / (2.0 * dc)
+    dg_dc = engine.d_speed_gradient(w)
+    assert np.max(np.abs(dg_dc - fd)) <= 1e-6 * np.max(np.abs(dg_dc))
+    assert float(np.dot(w, dg_dc)) == pytest.approx(2.0 * engine.d_speed(w),
+                                                    rel=1e-13)
+
+
+def test_speed_factors_each_speed_once(monkeypatch):
+    # each Newton iterate factors its own speed's inhibitor matrix once:
+    # dg/dc, the minimizer check and the final report reuse it
+    p, c_p, grid, init = _pulse()
     factored = []
     operator = epsilon_solver.InhibitorOperator
 
@@ -937,7 +990,22 @@ def test_speed_factors_each_speed_once(pulse_bracket, monkeypatch):
         return operator(grid, c, gamma)
 
     monkeypatch.setattr(epsilon_solver, "InhibitorOperator", counted)
-    res = speed_eps(p, c_lo, c_hi, grid, init, max_iter=300)
-    assert not any(step.certified for step in res.steps)
-    assert sorted(factored) == sorted(step.c for step in res.steps)
+    res = speed_eps(p, c_p / 1.1, c_p * 1.1, grid, init, max_iter=300)
+    start = math.sqrt(c_p / 1.1 * c_p * 1.1)
+    assert factored == [start] + [step.c for step in res.steps]
     assert len(set(factored)) == len(factored)
+
+
+def test_equal_solver_grids_are_one_while_held():
+    # results kept on one (set, width) share one grid and its arrays; one
+    # that no caller holds is freed, not cached
+    e = IntervalUnion.single(-3.0, 0.25)
+    grid = solver_grid(e, 0.04)
+    assert solver_grid(IntervalUnion.single(-3.0, 0.25), 0.04) is grid
+    assert solver_grid(e, 0.02) is not grid
+    assert solver_grid(HALF_LINE, 0.04) is not grid
+    x_lo, n = grid.x_lo, grid.n
+    del grid
+    assert (e, 0.04) not in epsilon_solver._SOLVER_GRIDS
+    again = solver_grid(e, 0.04)
+    assert (again.x_lo, again.n) == (x_lo, n)

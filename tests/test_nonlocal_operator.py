@@ -343,3 +343,22 @@ def test_speed_derivative_matches_central_difference(c):
           - InhibitorOperator(grid, c - dc, gamma).solve(f)) / (2.0 * dc)
     # leaving out the Robin rows' terms gives an error above 2 on this scale
     assert np.max(np.abs(dv - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("c", [0.7, 1.3, 2.3])
+def test_speed_derivative_transpose_is_the_adjoint(c):
+    # y . dL/dc f = f . (dL/dc)^T y for data nonzero at both ends, and the
+    # transpose matches central differences of solve_transpose
+    grid = Grid(-12.0, 4.0, 801)
+    gamma = 1.2
+    x = grid.x
+    f = np.exp(-(x + 3.0) ** 2) + 0.3 * np.tanh(x) + 0.2
+    y = np.cos(x) + 0.5
+    op = InhibitorOperator(grid, c, gamma)
+    t = op.d_speed_transpose(y)
+    assert np.dot(f, t) == pytest.approx(np.dot(y, op.d_speed(f, op.solve(f))),
+                                         rel=1e-12)
+    dc = 1e-4 * c
+    fd = (InhibitorOperator(grid, c + dc, gamma).solve_transpose(y)
+          - InhibitorOperator(grid, c - dc, gamma).solve_transpose(y)) / (2.0 * dc)
+    assert np.max(np.abs(t - fd)) <= 1e-5 * np.max(np.abs(fd))
