@@ -66,12 +66,6 @@ SPEED_CHECK_ITER = 30
 SPEED_SADDLE_STEP = 0.1
 #: solver grids drop the nodes left of the set whose weight e^x is below this
 GRID_WEIGHT_TOL = 1e-9
-#: recovery profiles are sampled at this many points, from an inverse taken
-#: on this many quadrature points in u
-RECOVERY_NODES = 20001
-RECOVERY_QUAD_NODES = 400001
-#: the recovery integral runs over this many quadrature intervals at a time
-RECOVERY_CHUNK = 8192
 #: default speed bracket, of convergence_study and fhn-gamma speed-eps:
 #: [c_limit / BRACKET_FACTOR, c_limit * BRACKET_FACTOR]
 BRACKET_FACTOR = 2.0
@@ -83,70 +77,71 @@ class RecoveryProfile:
 
     Solves the first-integral relation eps^2 u'^2 / 2 - F0(u) = eps/2 with
     u(0) = 0 and u(rho_eps) = 1; at a right end of a set ``build_recovery``
-    uses its reflection.
+    uses its reflection.  In closed form (Byrd & Friedman 259.00), with
+    g^4 = 1/16 + 2 eps, m = (1 + 1/(4 g^2)) / 2, s = eps sqrt(2) / (2 g) and
+    K = F(2 atan(1/(2g)) | m), an incomplete elliptic integral of the first
+    kind: rho_eps = 2 s K and u(t) = 1/2 + g tan(am/2), where am is the
+    Jacobi amplitude of t/s - K at parameter m.
     """
 
     eps: float
     rho_eps: float
-    x: np.ndarray
-    u: np.ndarray
+
+    def _closed_form(self, t):
+        """u(t) and u'(t) from the closed form, unclamped."""
+        from scipy.special import ellipj
+
+        g, m, s = _elliptic_parameters(self.eps)
+        _, _, dn, am = ellipj(t / s - self.rho_eps / (2.0 * s), m)
+        half = 0.5 * am
+        return 0.5 + g * np.tan(half), g * dn / (2.0 * s * np.cos(half) ** 2)
 
     def rising(self, t):
-        """Profile value at t, extended by 0 below and 1 above the window."""
-        return np.interp(t, self.x, self.u)
+        """Profile value at t: exactly 0 for t <= 0 and 1 for t >= rho_eps,
+        and the closed form clamped to [0, 1] between them."""
+        t = np.asarray(t, dtype=float)
+        u = self._closed_form(np.clip(t, 0.0, self.rho_eps))[0]
+        u = np.clip(u, 0.0, 1.0)
+        return np.where(t <= 0.0, 0.0, np.where(t >= self.rho_eps, 1.0, u))
 
     def first_integral_residual(self) -> float:
-        """Max deviation of eps^2 u'^2 / 2 - F0(u) from eps/2 along the
-        samples, with the derivative taken by central differences."""
-        h = self.x[1] - self.x[0]
-        du = (self.u[2:] - self.u[:-2]) / (2.0 * h)
-        res = 0.5 * self.eps**2 * du**2 - F0(self.u[1:-1]) - 0.5 * self.eps
+        """Max deviation of eps^2 u'^2 / 2 - F0(u) from eps/2 at 1,001
+        uniform points of [0, rho_eps], with the closed form's exact u'."""
+        u, du = self._closed_form(np.linspace(0.0, self.rho_eps, 1001))
+        res = 0.5 * self.eps**2 * du**2 - F0(u) - 0.5 * self.eps
         return float(np.max(np.abs(res)))
 
 
-def recovery_profile(eps: float) -> RecoveryProfile:
-    """Interface profile from inverting x(u) = integral of eps/sqrt(eps+2F0).
+def _elliptic_parameters(eps: float) -> tuple[float, float, float]:
+    """g, m and s of the closed-form interface profile at width eps."""
+    g = (0.0625 + 2.0 * eps) ** 0.25
+    return g, 0.5 + 0.125 / (g * g), eps * SQRT2 / (2.0 * g)
 
-    The cumulative integral is trapezoid on RECOVERY_QUAD_NODES points in u
-    and the inverse is sampled on RECOVERY_NODES uniform points in x; rho_eps
-    comes from the same cumulative integral so the endpoint values are exact.
-    The integral runs in chunks of RECOVERY_CHUNK intervals, twice (once for
-    rho_eps, once to invert), so no array of quadrature length is built.
+
+def recovery_profile(eps: float) -> RecoveryProfile:
+    """Interface profile of width eps, in closed form.
+
+    rho_eps and the profile lie within 3.5e-14 of a 40-digit quadrature of
+    x(u) = integral of eps/sqrt(eps + 2 F0) for eps in [2.5e-5, 0.5].  As m
+    tends to 1 they lose digits, about 1e-16/eps, below eps of about 1e-8,
+    which no solver grid reaches (its smallest eps is about 2.45e-5), and
+    rho_eps overflows below about 1e-17.  Raises ``InvalidParameterError``
+    unless eps is positive and eps and rho_eps are finite.
     """
+    # imported here so that importing the package does not load scipy.special
+    from scipy.special import ellipkinc
+
     if not 0.0 < eps < math.inf:
         raise InvalidParameterError(
             f"interface width must be finite and positive, got {eps}"
         )
-    n = RECOVERY_QUAD_NODES - 1
-    ds = 1.0 / n
-
-    def pieces():
-        """(s, x(s)) on consecutive chunks of the nodes s_i = i ds (the
-        nodes of np.linspace(0, 1, n + 1)) that share their end nodes."""
-        x_end = 0.0
-        for k in range(0, n, RECOVERY_CHUNK):
-            s_k = np.arange(k, min(k + RECOVERY_CHUNK, n) + 1) * ds
-            integrand = eps / np.sqrt(eps + 2.0 * F0(s_k))
-            steps = 0.5 * (integrand[1:] + integrand[:-1]) * ds
-            steps[0] += x_end  # the running sum, continued bit for bit
-            x_k = np.concatenate([[x_end], np.cumsum(steps)])
-            x_end = x_k[-1]
-            yield s_k, x_k
-
-    for _, x_k in pieces():
-        pass
-    rho = float(x_k[-1])
-    x = np.linspace(0.0, rho, RECOVERY_NODES)
-    # a sample below a chunk's last node is bracketed by the same two nodes
-    # in the chunk as in the whole table; a sample at rho_eps maps to 1
-    u = np.ones_like(x)
-    i = 0
-    for s_k, x_k in pieces():
-        j = int(np.searchsorted(x, x_k[-1]))
-        u[i:j] = np.interp(x[i:j], x_k, s_k)
-        i = j
-    u[0], u[-1] = 0.0, 1.0
-    return RecoveryProfile(eps=eps, rho_eps=rho, x=x, u=u)
+    g, m, s = _elliptic_parameters(eps)
+    rho = 2.0 * s * float(ellipkinc(2.0 * math.atan(0.5 / g), m))
+    if not rho < math.inf:
+        raise InvalidParameterError(
+            f"interface width {eps} is below the closed form's range"
+        )
+    return RecoveryProfile(eps=eps, rho_eps=rho)
 
 
 @dataclass(frozen=True)
@@ -254,8 +249,9 @@ def build_recovery(e: IntervalUnion, p: Params, grid: Grid) -> AdmissibleProfile
     theta = 0 puts every window on the inside of its interval (norm <= 1),
     theta = 1 on the outside (norm >= 1), and a scalar root-find picks the
     offset with unit norm.  Interfaces lie more than 2 sqrt(eps) apart and
-    rho_eps < sqrt(eps), so no node is in two windows: only window nodes are
-    interpolated, and the others read 1 inside the set and 0 outside it.
+    rho_eps < sqrt(eps), so no node is in two windows: the closed form is
+    evaluated at window nodes only, and the others read 1 inside the set and
+    0 outside it.
     """
     # imported here, its only use, so that importing the package does not
     # load scipy.optimize
@@ -577,8 +573,10 @@ def minimize_energy(
     report is the final iterate's own, and ``multiplier`` comes from its
     gradient after the loop.  Only the start is a full ``value_and_grad``.
     Every float equals that of the textbook expressions (see ``_terms``).
-    On hitting the iteration cap the best iterate is returned with
-    ``converged=False``.  Needs max_iter >= 1 and 0 < tol < inf.
+    On hitting the iteration cap, or when 60 halvings of a line-search step
+    find no decrease (how the loop ends when tol lies at the rounding floor
+    of the energy), the best iterate is returned with ``converged=False``.
+    Needs max_iter >= 1 and 0 < tol < inf.
     """
     if not (max_iter >= 1 and 0.0 < tol < math.inf):
         raise InvalidParameterError(

@@ -236,7 +236,8 @@ def test_recovery_csv_and_svg(tmp_path):
 def test_recovery_builds_a_set_too_long_for_the_inhibitor_solve(tmp_path):
     # recovery takes no inhibitor solve, so only the node bound applies; the
     # 604,001 nodes, their quadrature, one profile and one product with it
-    # make four arrays of 4.8 MB, since only the window nodes are interpolated
+    # make four arrays of 4.8 MB, since only the window nodes take the closed
+    # form
     import scipy.optimize  # noqa: F401  (build_recovery loads it on first use)
 
     out = tmp_path / "long.csv"

@@ -1,17 +1,15 @@
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from fhn_gamma import epsilon_solver
 from fhn_gamma.epsilon_solver import (
     GRID_WEIGHT_TOL,
-    RECOVERY_NODES,
-    RECOVERY_QUAD_NODES,
     SPEED_GRAD_TOL,
     SPEED_NORM_TOL,
     DiscreteEnergy,
@@ -49,12 +47,19 @@ def small_grid(eps):
 
 
 def test_recovery_profile_shape():
-    for eps in (0.04, 0.01):
+    # the closed form reads -1.1e-16 just right of 0 at eps = 1e-3, so the
+    # window ends are sampled down to the smallest offsets
+    for eps in (0.04, 0.01, 1e-3):
         rp = recovery_profile(eps)
         assert rp.rho_eps <= math.sqrt(eps)
-        assert rp.u[0] == 0.0 and rp.u[-1] == 1.0
-        assert np.all(np.diff(rp.u) >= 0.0)
-        assert rp.first_integral_residual() < 1e-8
+        ends = np.geomspace(1e-300, 1e-6 * rp.rho_eps, 200)
+        t = np.sort(np.concatenate([
+            np.linspace(-0.1 * rp.rho_eps, 1.1 * rp.rho_eps, 100_001),
+            ends, rp.rho_eps - ends]))
+        u = rp.rising(t)
+        assert np.all(u[t <= 0.0] == 0.0) and np.all(u[t >= rp.rho_eps] == 1.0)
+        assert np.all((u >= 0.0) & (u <= 1.0)) and np.all(np.diff(u) >= 0.0)
+        assert rp.first_integral_residual() < 1e-15
 
 
 def test_recovery_profile_reflection():
@@ -76,38 +81,49 @@ def test_recovery_profile_rejects_bad_eps():
             recovery_profile(eps)
 
 
-def _whole_array_inversion(eps):
-    # the inversion with every quadrature-length array built at once
-    s = np.linspace(0.0, 1.0, RECOVERY_QUAD_NODES)
-    integrand = eps / np.sqrt(eps + 2.0 * F0(s))
-    x_of_s = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * (s[1] - s[0]))]
-    )
-    x = np.linspace(0.0, x_of_s[-1], RECOVERY_NODES)
-    u = np.interp(x, x_of_s, s)
-    u[0], u[-1] = 0.0, 1.0
-    return x_of_s[-1], x, u
+def _interface_x(eps, u):
+    """x(u), the integral of eps / sqrt(eps + 2 F0) from 0 to u, by quad."""
+    return quad(lambda v: eps / math.sqrt(eps + 2.0 * F0(v)), 0.0, u,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
-@pytest.mark.parametrize("eps", [0.5, 0.04, 0.01, 1e-3, 1e-12])
-def test_recovery_profile_equals_the_whole_array_inversion(eps):
+@pytest.mark.parametrize("eps", [0.5, 0.04, 1e-3, 2.5e-5])
+def test_recovery_profile_matches_an_independent_quadrature(eps):
     rp = recovery_profile(eps)
-    rho, x, u = _whole_array_inversion(eps)
-    assert rp.rho_eps == rho
-    assert np.array_equal(rp.x, x)
-    assert np.array_equal(rp.u, u)
+    assert abs(rp.rho_eps / _interface_x(eps, 1.0) - 1.0) <= 1e-12
+    u = np.linspace(0.0, 1.0, 41)
+    x = np.array([_interface_x(eps, v) for v in u])
+    assert np.max(np.abs(rp.rising(x) - u)) <= 1e-12
 
 
-def test_recovery_profile_builds_no_quadrature_length_array():
-    # a 400,001-node array is 3.2 MB; the whole-array inversion holds four
-    recovery_profile(0.04)
-    tracemalloc.start()
-    try:
-        recovery_profile(0.04)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+@pytest.mark.parametrize("case", ["front", "pulse"])
+def test_build_recovery_window_nodes_match_the_quadrature(case):
+    # a node in a rising window at a reads u with x(u) = x - a + shift, one in
+    # a falling window at b reads u with x(u) = b + shift - x, one shift in
+    # [0, rho_eps] for all windows
+    eps = 0.04
+    if case == "front":
+        e, p = HALF_LINE, Params(5.0, 1.0, 1.0, eps)
+    else:
+        e, p = pulse_speed(Params(2.0, 1.0, 1.0)).limit_set, Params(2.0, 1.0, 1.0, eps)
+    grid = solver_grid(e, eps)
+    w = build_recovery(e, p, grid).w.values
+    (a, b), = e.intervals
+    window = np.flatnonzero((w > 0.0) & (w < 1.0))
+    assert window.size > 20
+    shifts = []
+    for i in window:
+        x_u = _interface_x(eps, w[i])
+        x = grid.x[i]
+        shifts.append(x_u + a - x if x < 0.5 * (a + b) else x_u + x - b)
+    assert max(shifts) - min(shifts) <= 1e-12
+    assert 0.0 <= min(shifts) and max(shifts) <= recovery_profile(eps).rho_eps
+
+
+def test_recovery_profile_refuses_a_width_below_the_closed_form():
+    # m = (1 + 1/(4 g^2)) / 2 rounds to 1, where rho_eps is infinite
+    with pytest.raises(InvalidParameterError, match="closed form"):
+        recovery_profile(1e-20)
 
 
 def test_build_recovery_front_set():
@@ -707,13 +723,22 @@ def test_minimize_matches_the_reference_loop_on_a_box_face(kernel_cases):
 
 
 def test_multiplier_measures_the_distance_from_a_critical_point(kernel_cases):
-    # lambda = w^T g / 2 equals the energy at a constrained critical point:
-    # the converged front minimizer at c_f reads value - lambda = -1.5e-6,
-    # the pulse after 300 iterations, the cap of the benchmark's speed
-    # solve, -5.2e-2
+    # lambda = w^T g / 2 equals the energy at a constrained critical point.
+    # Every term is covariant under translation, so at any iterate off the
+    # box faces lambda - E = <d, w'>_Q for the projected gradient d, and
+    # |E - lambda| <= ||w'||_Q grad_norm up to the grid's translation defect
+    # (about 2.3e-7).  The front at c_f ends at the default tol on BB's
+    # rounding floor: converged, or a line search with no decrease at
+    # grad_norm 1.1-1.6e-6, as the start's last bits fall.  Either way
+    # value - lambda reads -1.3e-6 to -2.7e-6 (||w'||_Q = 1.756).  The pulse
+    # after 300 iterations, the cap of the benchmark's speed solve, reads
+    # -5.5e-2
     engine, init = kernel_cases["front"]
     front = minimize_energy(engine, init)
-    assert front.converged
+    w = front.profile.values
+    dw = np.gradient(w, engine.grid.h)
+    bound = math.sqrt(weighted_dot(engine.grid, dw, dw)) * front.grad_norm
+    assert abs(front.value - front.multiplier) <= bound + 1e-6
     assert abs(front.value - front.multiplier) < 1e-5
     engine, init = kernel_cases["pulse"]
     pulse = minimize_energy(engine, init, max_iter=300)
